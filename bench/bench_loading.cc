@@ -52,10 +52,10 @@ void BM_Load(benchmark::State& state) {
 
 // Experiment E17 — parallel bulk-load scaling (see EXPERIMENTS.md).
 //
-// Loads the same document through the parallel pipeline (partition →
+// Loads the same document through the load pipeline (partition →
 // multi-threaded shred into sorted runs → k-way merge → bulk-built heap
-// and indexes) at increasing worker counts. Arg 2 is the load thread
-// count; 0 means the serial single-transaction path for a same-binary
+// and indexes) at increasing worker counts. Arg 2 is the load pool size;
+// 0 runs the pipeline inline on the calling thread, the same-binary
 // baseline. Counters surface the pipeline's fan-out (load_threads,
 // runs_merged, rows_shredded) and the AppendBatch tail-page fetch
 // savings, so the scaling story is auditable even on single-core CI
@@ -66,7 +66,6 @@ void BM_LoadParallel(benchmark::State& state) {
   const int64_t threads = state.range(2);
 
   DatabaseOptions db_opts;
-  db_opts.enable_parallel_load = threads > 0;
   db_opts.num_load_threads = static_cast<size_t>(threads);
   // Small runs keep the k-way merge in play at every dataset size.
   db_opts.load_run_bytes = 256 * 1024;
@@ -90,7 +89,7 @@ void BM_LoadParallel(benchmark::State& state) {
   state.counters["runs_merged"] = static_cast<double>(exec.runs_merged);
   state.counters["saved_fetches"] = static_cast<double>(saved_fetches);
   state.SetLabel(std::string(OrderEncodingToString(enc)) +
-                 (threads > 0 ? "/parallel" : "/serial"));
+                 (threads > 0 ? "/parallel" : "/inline"));
 }
 
 }  // namespace

@@ -1,21 +1,17 @@
 // Experiment E18 — MVCC snapshot reads. Reader throughput against one
-// shared store with and without a concurrent long-running writer, on both
-// sides of the enable_mvcc switch:
+// shared store with and without a concurrent long-running writer:
 //
 //  * writer=0: baseline read throughput (the snapshot machinery idles —
 //    this measures its overhead on uncontended reads).
-//  * writer=1, mvcc=1: a background thread keeps a write transaction open
-//    almost continuously (Begin → delete a subtree → Rollback, no pauses).
+//  * writer=1: a background thread keeps a write transaction open almost
+//    continuously (Begin → delete a subtree → Rollback, no pauses).
 //    Readers are served committed page versions and index deltas; their
 //    throughput should stay within a small factor of the uncontended run.
-//  * writer=1, mvcc=0: the pre-MVCC discipline — Begin holds the statement
-//    latch exclusively for the transaction's lifetime, so readers only run
-//    in the gaps between transactions and throughput collapses.
 //
 // The version-chain counters (snapshot_reads, versions_retained,
-// version_chain_max) are attached to every report line; under writer=1,
-// mvcc=1 a zero snapshot_reads would mean the benchmark never actually
-// exercised the snapshot path.
+// version_chain_max) are attached to every report line; under writer=1 a
+// zero snapshot_reads would mean the benchmark never actually exercised
+// the snapshot path.
 
 #include <benchmark/benchmark.h>
 
@@ -31,28 +27,13 @@ namespace {
 int Sections() { return static_cast<int>(SmokeScaled(60, 10)); }
 int Paragraphs() { return static_cast<int>(SmokeScaled(10, 4)); }
 
-StoreFixture MakeMvccStore(OrderEncoding enc, bool mvcc) {
-  DatabaseOptions opts;
-  opts.enable_mvcc = mvcc;
-  StoreFixture f;
-  auto dbr = Database::Open(opts);
-  OXML_BENCH_CHECK(dbr.ok());
-  f.db = std::move(dbr).value();
-  auto sr = OrderedXmlStore::Create(f.db.get(), enc, StoreOptions{});
-  OXML_BENCH_CHECK(sr.ok());
-  f.store = std::move(sr).value();
-  auto doc = NewsDoc(Sections(), Paragraphs());
-  OXML_BENCH_CHECK(f.store->LoadDocument(*doc).ok());
-  return f;
-}
-
-// One fixture per (encoding, mvcc) pair, shared by the reader threads.
-StoreFixture& SharedFixture(OrderEncoding enc, bool mvcc) {
-  static auto* fixtures = new std::map<int, StoreFixture>();
-  int key = (static_cast<int>(enc) << 1) | (mvcc ? 1 : 0);
-  auto it = fixtures->find(key);
+// One fixture per encoding, shared by the reader threads.
+StoreFixture& SharedFixture(OrderEncoding enc) {
+  static auto* fixtures = new std::map<OrderEncoding, StoreFixture>();
+  auto it = fixtures->find(enc);
   if (it == fixtures->end()) {
-    it = fixtures->emplace(key, MakeMvccStore(enc, mvcc)).first;
+    auto doc = NewsDoc(Sections(), Paragraphs());
+    it = fixtures->emplace(enc, MakeLoadedStore(enc, *doc)).first;
   }
   return it->second;
 }
@@ -80,8 +61,7 @@ void WriterLoop(StoreFixture* f, std::atomic<bool>* stop) {
 void BM_SnapshotReaders(benchmark::State& state) {
   OrderEncoding enc = EncodingFromIndex(state.range(0));
   bool with_writer = state.range(1) != 0;
-  bool mvcc = state.range(2) != 0;
-  StoreFixture& f = SharedFixture(enc, mvcc);
+  StoreFixture& f = SharedFixture(enc);
 
   static std::atomic<bool> stop{false};
   static std::thread writer;
@@ -117,8 +97,7 @@ void BM_SnapshotReaders(benchmark::State& state) {
     ReportExecStats(state, s);
     state.SetLabel(std::string(OrderEncodingToString(enc)) +
                    (with_writer ? "/writer" : "/no_writer") +
-                   (mvcc ? "/mvcc" : "/exclusive") + "/readers_x" +
-                   std::to_string(state.threads()));
+                   "/readers_x" + std::to_string(state.threads()));
   }
 }
 
@@ -126,15 +105,9 @@ void BM_SnapshotReaders(benchmark::State& state) {
 }  // namespace bench
 }  // namespace oxml
 
-// Uncontended baseline (MVCC on, no writer) and the two contended modes.
+// Uncontended baseline (no writer) and the long-writer run.
 BENCHMARK(oxml::bench::BM_SnapshotReaders)
-    ->ArgsProduct({{0, 1, 2}, {0}, {1}})
-    ->Threads(1)
-    ->Threads(4)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(oxml::bench::BM_SnapshotReaders)
-    ->ArgsProduct({{0, 1, 2}, {1}, {0, 1}})
+    ->ArgsProduct({{0, 1, 2}, {0, 1}})
     ->Threads(1)
     ->Threads(4)
     ->UseRealTime()

@@ -89,19 +89,9 @@ Status DeweyStore::BulkInsert(const std::vector<Row>& rows,
   return Status::OK();
 }
 
-Status DeweyStore::DoLoadDocument(const XmlDocument& doc) {
-  std::vector<Row> rows;
-  int64_t comp = 0;
-  for (const auto& top : doc.root()->children()) {
-    comp += options_.gap;
-    ShredInto(*top, DeweyKey::Root(comp), &rows);
-  }
-  return BulkInsert(rows, nullptr);
-}
-
 Status DeweyStore::EmitUnitRows(const ShredUnit& u, std::vector<Row>* rows) {
   // The partitioner carried this node's full Dewey key down the descent;
-  // everything below just extends it exactly like the serial shredder.
+  // everything below just extends it exactly like ShredInto does.
   OXML_ASSIGN_OR_RETURN(DeweyKey key, DeweyKey::Decode(u.dewey_path));
   if (u.whole_subtree) {
     ShredInto(*u.node, key, rows);

@@ -93,25 +93,16 @@ Status GlobalStore::BulkInsert(const std::vector<Row>& rows,
   return Status::OK();
 }
 
-Status GlobalStore::DoLoadDocument(const XmlDocument& doc) {
-  std::vector<Row> rows;
-  int64_t counter = 0;
-  for (const auto& top : doc.root()->children()) {
-    ShredInto(*top, 0, 1, options_.gap, &counter, &rows, nullptr);
-  }
-  return BulkInsert(rows, nullptr);
-}
-
 Status GlobalStore::EmitUnitRows(const ShredUnit& u, std::vector<Row>* rows) {
   const int64_t step = options_.gap;
-  // The serial DFS bumps the counter before each row, so the k-th row of
-  // the full stream (0-based) gets ord = step * (k + 1); the parent's ord
+  // ShredInto bumps the counter before each row, so the k-th row of the
+  // full DFS stream (0-based) gets ord = step * (k + 1); the parent's ord
   // follows the same formula applied to its row offset.
   const int64_t pord =
       u.parent_row_offset < 0 ? 0 : step * (u.parent_row_offset + 1);
   if (u.whole_subtree) {
-    // Replay the serial shredder with the counter pre-positioned at the
-    // unit's first row; every ord/eord inside comes out identical.
+    // Run ShredInto with the counter pre-positioned at the unit's first
+    // row; every ord/eord inside matches a whole-document DFS.
     int64_t counter = step * static_cast<int64_t>(u.row_offset);
     ShredInto(*u.node, pord, u.depth, step, &counter, rows, nullptr);
     return Status::OK();

@@ -101,21 +101,11 @@ Status LocalStore::BulkInsert(const std::vector<Row>& rows,
   return Status::OK();
 }
 
-Status LocalStore::DoLoadDocument(const XmlDocument& doc) {
-  std::vector<Row> rows;
-  int64_t sord = 0;
-  for (const auto& top : doc.root()->children()) {
-    sord += options_.gap;
-    ShredLocal(*top, 0, sord, 1, options_.gap, &next_id_, &rows);
-  }
-  return BulkInsert(rows, nullptr);
-}
-
 Status LocalStore::EmitUnitRows(const ShredUnit& u, std::vector<Row>* rows) {
   const int64_t gap = options_.gap;
-  // The serial shredder hands out ids in DFS row order, so the k-th row of
-  // the full stream gets id = next_id_ + k. The allocator itself is left
-  // untouched until OnParallelLoadComplete — workers only read the base.
+  // Ids follow DFS row order, so the k-th row of the full stream gets
+  // id = next_id_ + k. The allocator itself is left untouched until
+  // OnLoadComplete — workers only read the base.
   const int64_t base = next_id_;
   const int64_t pid =
       u.parent_row_offset < 0 ? 0 : base + u.parent_row_offset;

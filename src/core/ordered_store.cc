@@ -193,16 +193,6 @@ Result<int64_t> OrderedXmlStore::DmlP(const std::string& sql, Row params,
 }
 
 Status OrderedXmlStore::LoadDocument(const XmlDocument& doc) {
-  if (db_->options().enable_parallel_load) {
-    return ParallelLoadDocument(doc);
-  }
-  TxnScope txn(db_);
-  OXML_RETURN_NOT_OK(txn.begin_status());
-  OXML_RETURN_NOT_OK(DoLoadDocument(doc));
-  return txn.Commit();
-}
-
-Status OrderedXmlStore::ParallelLoadDocument(const XmlDocument& doc) {
   ThreadPool* pool = db_->load_pool();
   // A few units per worker keeps the morsel scheduler busy without
   // shredding the document into confetti.
@@ -213,7 +203,7 @@ Status OrderedXmlStore::ParallelLoadDocument(const XmlDocument& doc) {
   // Shred phase: pure CPU over the parsed DOM, deliberately outside the
   // exclusive statement latch so a long load does not block concurrent
   // readers of other tables. Per-worker runs come back sorted; the k-way
-  // merge restores the exact serial document-order row stream.
+  // merge restores the exact document-order row stream.
   uint64_t runs = 0;
   uint64_t threads = 0;
   OXML_ASSIGN_OR_RETURN(
@@ -230,6 +220,14 @@ Status OrderedXmlStore::ParallelLoadDocument(const XmlDocument& doc) {
   // followed by a single commit record.
   TxnScope txn(db_);
   OXML_RETURN_NOT_OK(txn.begin_status());
+  // Checked inside the transaction, where no other writer can fill the
+  // table before the install: loading into a populated store would
+  // interleave two documents' order keys.
+  TableInfo* table = db_->GetTable(table_name());
+  if (table != nullptr && table->heap()->row_count() != 0) {
+    return Status::InvalidArgument("store '" + table_name() +
+                                   "' already holds a document");
+  }
   OXML_RETURN_NOT_OK(db_->BulkLoadRows(table_name(), rows).status());
   OXML_RETURN_NOT_OK(txn.Commit());
 
@@ -240,7 +238,7 @@ Status OrderedXmlStore::ParallelLoadDocument(const XmlDocument& doc) {
   stats->rows_shredded += rows.size();
   stats->runs_merged += runs;
   stats->load_threads_used.UpdateMax(threads);
-  OnParallelLoadComplete(rows.size());
+  OnLoadComplete(rows.size());
   return Status::OK();
 }
 

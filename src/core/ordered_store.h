@@ -75,18 +75,20 @@ class OrderedXmlStore {
 
   // ------------------------------------------------------------ bulk load
 
-  /// Shreds `doc` into the node table (document must be loaded into an
-  /// empty store). Runs as one transaction: a crash mid-load leaves the
-  /// store empty, never partially shredded.
+  /// Shreds `doc` into the node table. Runs as one transaction: a crash
+  /// mid-load leaves the store empty, never partially shredded. A store
+  /// that already holds rows is rejected with InvalidArgument and left
+  /// unchanged.
   ///
-  /// With DatabaseOptions::enable_parallel_load the document is cut into
-  /// disjoint subtrees (PartitionDocument), shredded into per-worker
-  /// sorted runs on the database's load pool, k-way merged, and installed
-  /// through the bulk path (Database::BulkLoadRows). Order keys are
-  /// assigned deterministically from the partition pre-pass, so the
-  /// resulting table is byte-identical to a serial load; only the shred
-  /// phase runs outside the exclusive statement latch (concurrent readers
-  /// of other tables proceed while the document is being shredded).
+  /// The document is cut into disjoint subtrees (PartitionDocument),
+  /// shredded into sorted runs — on the calling thread, plus the
+  /// database's load pool when DatabaseOptions::num_load_threads > 0 —
+  /// k-way merged, and installed through the bulk path
+  /// (Database::BulkLoadRows). Order keys are assigned deterministically
+  /// from the partition pre-pass, so the table is byte-identical at every
+  /// worker count. Only the install runs under the exclusive statement
+  /// latch; concurrent readers of other tables proceed while the document
+  /// is being shredded.
   Status LoadDocument(const XmlDocument& doc);
 
   /// Rebuilds the complete document from the relations.
@@ -218,16 +220,15 @@ class OrderedXmlStore {
   /// wrap them in a TxnScope (template method). When the caller already
   /// opened a transaction, the scope nests flatly and the outer transaction
   /// decides the outcome.
-  virtual Status DoLoadDocument(const XmlDocument& doc) = 0;
   virtual Result<UpdateStats> DoInsertSubtree(const StoredNode& ref,
                                               InsertPosition pos,
                                               const XmlNode& subtree) = 0;
   virtual Result<UpdateStats> DoDeleteSubtree(const StoredNode& node) = 0;
 
-  // ------------------------------------------------------- parallel loading
+  // ---------------------------------------------------------------- loading
 
   /// Shreds one partition into encoded rows (document order within the
-  /// unit), assigning exactly the order keys the serial shredder would
+  /// unit), assigning exactly the order keys a whole-document DFS would
   /// have. Must not mutate store state: ParallelShredMerge calls it from
   /// several threads at once on distinct units.
   virtual Status EmitUnitRows(const ShredUnit& unit,
@@ -236,10 +237,10 @@ class OrderedXmlStore {
   /// How this encoding's first column orders for the k-way merge.
   virtual LoadKeyKind LoadKey() const = 0;
 
-  /// Called once after a successful parallel load with the number of rows
+  /// Called once after a successful load with the number of rows
   /// installed; stores with allocator state advance it here (the Local
   /// encoding's id counter).
-  virtual void OnParallelLoadComplete(uint64_t rows_loaded) {
+  virtual void OnLoadComplete(uint64_t rows_loaded) {
     (void)rows_loaded;
   }
 
@@ -257,12 +258,6 @@ class OrderedXmlStore {
                          UpdateStats* stats = nullptr);
   Result<int64_t> DmlP(const std::string& sql, Row params,
                        UpdateStats* stats = nullptr);
-
- private:
-  /// The enable_parallel_load body of LoadDocument: partition + parallel
-  /// shred + merge (no statement latch), then bulk install in one
-  /// transaction.
-  Status ParallelLoadDocument(const XmlDocument& doc);
 
  protected:
   Database* db_;

@@ -65,9 +65,10 @@ using ShredUnitEmitter =
 enum class LoadKeyKind { kInt, kBlob };
 
 /// The fan-out half of the bulk-load pipeline: workers (the pool's threads
-/// plus the calling thread; serial when `pool` is null) claim units
-/// morsel-style from one shared cursor and shred them with `emit`,
-/// sealing a sorted run whenever the accumulated rows exceed `run_bytes`.
+/// plus the calling thread; just the calling thread when `pool` is null)
+/// claim units morsel-style from one shared cursor and shred them with
+/// `emit`, sealing a sorted run whenever the accumulated rows exceed
+/// `run_bytes`.
 /// Because each worker claims strictly increasing unit indices and unit
 /// keys increase in document order, every run is sorted by construction;
 /// the final k-way merge by `key_kind` therefore reproduces the exact

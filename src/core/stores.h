@@ -71,7 +71,6 @@ class GlobalStore : public StoreBase {
                             Row* params) const override;
 
  protected:
-  Status DoLoadDocument(const XmlDocument& doc) override;
   Result<UpdateStats> DoInsertSubtree(const StoredNode& ref,
                                       InsertPosition pos,
                                       const XmlNode& subtree) override;
@@ -138,16 +137,15 @@ class LocalStore : public StoreBase {
                             Row* params) const override;
 
  protected:
-  Status DoLoadDocument(const XmlDocument& doc) override;
   Result<UpdateStats> DoInsertSubtree(const StoredNode& ref,
                                       InsertPosition pos,
                                       const XmlNode& subtree) override;
   Result<UpdateStats> DoDeleteSubtree(const StoredNode& node) override;
   Status EmitUnitRows(const ShredUnit& unit, std::vector<Row>* rows) override;
   LoadKeyKind LoadKey() const override { return LoadKeyKind::kInt; }
-  /// Ids were assigned as next_id_ + row_offset during the parallel shred
-  /// without touching the allocator; advance it now that the rows are in.
-  void OnParallelLoadComplete(uint64_t rows_loaded) override {
+  /// Ids were assigned as next_id_ + row_offset during the shred without
+  /// touching the allocator; advance it now that the rows are in.
+  void OnLoadComplete(uint64_t rows_loaded) override {
     next_id_ += static_cast<int64_t>(rows_loaded);
   }
 
@@ -208,7 +206,6 @@ class DeweyStore : public StoreBase {
                             Row* params) const override;
 
  protected:
-  Status DoLoadDocument(const XmlDocument& doc) override;
   Result<UpdateStats> DoInsertSubtree(const StoredNode& ref,
                                       InsertPosition pos,
                                       const XmlNode& subtree) override;

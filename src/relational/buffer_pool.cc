@@ -280,7 +280,7 @@ void BufferPool::CaptureUndo(uint32_t page_id, const Frame& frame) {
   u.before = std::shared_ptr<char[]>(new char[kPageSize]);
   std::memcpy(u.before.get(), frame.data.get(), kPageSize);
   u.was_dirty = frame.dirty;
-  if (mvcc_enabled_) {
+  {
     // Publish the pre-image as a committed page version, sharing the undo
     // buffer. Its base LSN is the newest committed LSN — the state this
     // transaction started from, which is also <= the snapshot LSN of every
@@ -353,7 +353,7 @@ Result<PageHandle> BufferPool::NewPage() {
 }
 
 Result<PageHandle> BufferPool::FetchPage(uint32_t page_id) {
-  const ReadSnapshot* snap = mvcc_enabled_ ? CurrentReadSnapshot() : nullptr;
+  const ReadSnapshot* snap = CurrentReadSnapshot();
   {
     // Fast path: a resident page is pinned under the shared latch, so any
     // number of readers fault-free pages in parallel. Frame addresses are

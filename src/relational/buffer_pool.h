@@ -271,12 +271,6 @@ class BufferPool {
 
   // --------------------------------------------------------- MVCC snapshots
 
-  /// Gates version publication and snapshot-serving FetchPage. On by
-  /// default; Database::Open turns it off when DatabaseOptions::enable_mvcc
-  /// is false (readers then rely on the exclusive statement latch alone).
-  void set_mvcc_enabled(bool v) { mvcc_enabled_ = v; }
-  bool mvcc_enabled() const { return mvcc_enabled_; }
-
   /// Reseeds the commit-LSN counter from WAL recovery, so LSNs assigned
   /// after a reopen stay monotone across the crash.
   void SeedCommitLsn(uint64_t lsn) {
@@ -402,7 +396,6 @@ class BufferPool {
   // MVCC state. `versions_` is touched by snapshot readers under the shared
   // table latch, so it has its own mutex (always acquired after table_mu_,
   // never the other way around).
-  bool mvcc_enabled_ = true;
   mutable std::mutex versions_mu_;
   std::unordered_map<uint32_t, std::vector<PageVersion>> versions_;
   std::atomic<uint64_t> last_commit_lsn_{0};

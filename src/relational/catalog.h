@@ -100,7 +100,7 @@ struct ExecStats {
   StatCounter morsels = 0;
   StatCounter parallel_joins = 0;
 
-  // Parallel bulk load (see DatabaseOptions::enable_parallel_load):
+  // Bulk load (OrderedXmlStore::LoadDocument):
   // `rows_shredded` counts rows produced by the partition/shred phase,
   // `runs_merged` counts the per-worker sorted runs fed to the k-way
   // merge, and `load_threads_used` is the high-water worker count that
@@ -109,7 +109,7 @@ struct ExecStats {
   StatCounter runs_merged = 0;
   StatCounter load_threads_used = 0;
 
-  // MVCC snapshot reads (see DatabaseOptions::enable_mvcc):
+  // MVCC snapshot reads (docs/INTERNALS.md §11):
   // `snapshot_reads` counts page fetches served from a published version
   // instead of the live frame, `versions_retained` is the cumulative count
   // of page versions published by copy-on-write capture, and
@@ -223,7 +223,7 @@ class IndexCursor {
 /// A secondary (or primary, when `unique`) index over a table.
 ///
 /// All mutations flow through the Insert/Erase/BulkBuild wrappers so that,
-/// while a transaction is open under MVCC, the logical delta needed by
+/// while a transaction is open, the logical delta needed by
 /// snapshot readers is maintained alongside the in-place tree (see
 /// IndexTxnDelta). Readers open cursors via ScanFrom/ScanBegin, which pick
 /// snapshot or current-state mode off the thread-local ReadSnapshot.

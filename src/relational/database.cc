@@ -239,7 +239,6 @@ Result<std::unique_ptr<Database>> Database::Open(
   bool have_pages = backend->page_count() > 0;
   auto pool = std::make_unique<BufferPool>(std::move(backend),
                                            options.buffer_capacity);
-  pool->set_mvcc_enabled(options.enable_mvcc);
   pool->SeedCommitLsn(recovered_commit_lsn);
   auto db = std::unique_ptr<Database>(new Database(std::move(pool)));
   db->options_ = options;
@@ -249,7 +248,7 @@ Result<std::unique_ptr<Database>> Database::Open(
   if (options.enable_parallel_execution) {
     db->exec_pool_ = std::make_unique<ThreadPool>(options.num_threads);
   }
-  if (options.enable_parallel_load) {
+  if (options.num_load_threads > 0) {
     db->load_pool_ = std::make_unique<ThreadPool>(options.num_load_threads);
   }
   db->wal_ = std::move(wal);
@@ -546,7 +545,6 @@ void Database::SyncMvccStats() {
 
 void Database::MaybeBeginSnapshot(
     std::optional<ScopedReadSnapshot>* snap) const {
-  if (!options_.enable_mvcc) return;
   if (!txn_open_.load(std::memory_order_acquire)) return;
   if (CurrentThreadOwnsTxn()) {
     return;  // the owner reads its own uncommitted state directly
@@ -558,9 +556,8 @@ void Database::MaybeBeginSnapshot(
 }
 
 Status Database::Begin() {
-  // Gate, don't fail, when another thread's transaction is open: the
-  // pre-MVCC exclusive-hold discipline made a second Begin wait its turn,
-  // and callers (TxnScope all over the stores) rely on that.
+  // Gate, don't fail, when another thread's transaction is open: callers
+  // (TxnScope all over the stores) rely on a second Begin waiting its turn.
   WriteStatementGuard guard(this);
   OXML_RETURN_NOT_OK(guard.status());
   if (closed_) return Status::InvalidArgument("database is closed");
@@ -569,13 +566,11 @@ Status Database::Begin() {
   for (const auto& [name, table] : tables_) {
     heap_snapshot_[name] = table->heap()->SnapshotMetadata();
   }
-  if (options_.enable_mvcc) {
-    // Arm the per-index transaction deltas that let overlapping snapshot
-    // readers reconstruct the committed view of each B+tree (the trees
-    // themselves are memory-resident and mutate in place).
-    for (const auto& [name, table] : tables_) {
-      for (const auto& idx : table->indexes()) idx->BeginTxnTracking();
-    }
+  // Arm the per-index transaction deltas that let overlapping snapshot
+  // readers reconstruct the committed view of each B+tree (the trees
+  // themselves are memory-resident and mutate in place).
+  for (const auto& [name, table] : tables_) {
+    for (const auto& idx : table->indexes()) idx->BeginTxnTracking();
   }
   {
     std::lock_guard<std::mutex> lock(txn_mu_);
@@ -587,19 +582,10 @@ Status Database::Begin() {
     txn_session_.store(CurrentSessionId(), std::memory_order_release);
     txn_open_.store(true, std::memory_order_release);
   }
-  if (!options_.enable_mvcc) {
-    // Pre-MVCC discipline: writers exclude readers for the whole
-    // transaction. The exclusive hold taken here outlives the guard and is
-    // dropped by the Commit or Rollback that closes the transaction.
-    latch_.LockExclusive();
-  }
   return Status::OK();
 }
 
 Status Database::Commit() {
-  // Ownership pre-checks run before taking the latch: with MVCC off the
-  // owner holds it exclusively for the transaction's lifetime, and a
-  // non-owner acquiring it here would deadlock instead of erroring.
   if (!txn_open_.load(std::memory_order_acquire)) {
     return Status::InvalidArgument("no transaction is open");
   }
@@ -619,14 +605,10 @@ Status Database::Commit() {
     // tail pages) lives only there, and recovery rebuilds tables from it.
     OXML_RETURN_NOT_OK(SaveCatalog());
   }
-  // On failure the transaction stays open for the caller to roll back (and
-  // with MVCC off, Begin's exclusive hold stays in place with it).
+  // On failure the transaction stays open for the caller to roll back.
   OXML_RETURN_NOT_OK(pool_->CommitTxn());
   catalog_dirty_ = false;
   EndTxnBookkeeping();
-  if (!options_.enable_mvcc) {
-    latch_.UnlockExclusive();  // drop Begin's hold: the transaction is over
-  }
   if (wal_ != nullptr && options_.wal_checkpoint_threshold_bytes > 0 &&
       wal_->size_bytes() > options_.wal_checkpoint_threshold_bytes) {
     // The commit above is already durable; a failed auto-checkpoint only
@@ -648,8 +630,7 @@ Status Database::Commit() {
 }
 
 Status Database::Rollback() {
-  // Same pre-check order as Commit (see there). A transaction that is
-  // already over — including one torn down by a failed Commit's crash-out
+  // A transaction that is already over — including one torn down by a failed Commit's crash-out
   // path — makes Rollback a safe error, never a second undo pass.
   if (!txn_open_.load(std::memory_order_acquire)) {
     return Status::InvalidArgument("no transaction is open");
@@ -667,10 +648,6 @@ Status Database::RollbackInner() {
     return Status::InvalidArgument("no transaction is open");
   }
   Status undo = pool_->RollbackTxn();
-  // The transaction is over either way: even a failed undo must drop
-  // Begin's exclusive hold (MVCC off), or every other thread blocks on the
-  // statement latch forever while the caller only sees an error Status.
-  if (!options_.enable_mvcc) latch_.UnlockExclusive();
   if (!undo.ok()) {
     // The pool may hold a mix of restored and unrestored pages; nothing in
     // memory can be trusted. Fail the database the way a crash would:

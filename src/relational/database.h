@@ -76,34 +76,15 @@ struct DatabaseOptions {
 
   // -------------------------------------------------------- parallel loading
 
-  /// Let OrderedXmlStore::LoadDocument shred documents in parallel: the
-  /// parsed tree is partitioned into disjoint subtrees, each partition is
-  /// shredded on a load-pool worker into per-worker sorted runs (order keys
-  /// assigned deterministically from a pre-pass), and the runs are k-way
-  /// merged and installed through the bulk path (HeapTable::AppendBatch +
-  /// BPlusTree::BulkBuild). Output is byte-identical to the serial path.
-  /// Off by default for the same reason as enable_parallel_execution.
-  bool enable_parallel_load = false;
-  /// Worker threads in the load pool (0 = hardware_concurrency). Only
-  /// consulted when enable_parallel_load is set.
+  /// Workers in the load pool that OrderedXmlStore::LoadDocument shreds
+  /// on, beside the calling thread. 0 (the default) creates no pool: the
+  /// partition → shred → merge → bulk-install pipeline runs inline on the
+  /// calling thread. Every worker count installs byte-identical tables.
   size_t num_load_threads = 0;
-  /// Approximate size at which a worker seals its current sorted run and
-  /// starts a new one. Smaller values exercise the k-way merge harder;
-  /// mostly a testing knob.
+  /// Approximate size at which a load worker (or the calling thread, when
+  /// loading inline) seals its current sorted run and starts a new one.
+  /// Smaller values exercise the k-way merge harder; mostly a testing knob.
   size_t load_run_bytes = 1u << 20;
-
-  // --------------------------------------------------------------- MVCC
-
-  /// Snapshot reads: readers never block behind an open write transaction.
-  /// Begin() stops holding the statement latch exclusively for the
-  /// transaction's lifetime; instead, writers take exclusivity per mutating
-  /// statement (and for the commit install point), and reader statements
-  /// that overlap an open foreign transaction acquire a snapshot LSN and
-  /// are served committed page versions / index deltas (INTERNALS.md §11).
-  /// Off restores the pre-MVCC discipline: Begin holds the latch
-  /// exclusively until Commit/Rollback, so a long transaction blocks every
-  /// reader.
-  bool enable_mvcc = true;
 
   // ------------------------------------------------------------- durability
 
@@ -197,13 +178,10 @@ class Database;
 /// The database-wide reader–writer statement latch. Read-only statements
 /// (Query/QueryP/Explain/Prepare) hold it shared, so any number of client
 /// threads read concurrently; every mutation (Execute/ExecuteP, Insert,
-/// DDL, Checkpoint, Close) holds it exclusively. With
-/// DatabaseOptions::enable_mvcc (the default) an explicit transaction
+/// DDL, Checkpoint, Close) holds it exclusively. An explicit transaction
 /// holds exclusivity only per mutating statement and for the commit
 /// install point — overlapping reader statements proceed under the shared
-/// latch against an MVCC snapshot (INTERNALS.md §11). With MVCC off,
-/// Begin() keeps the exclusive hold until Commit/Rollback, so explicit
-/// transactions exclude all readers for their whole lifetime.
+/// latch against an MVCC snapshot (INTERNALS.md §11).
 ///
 /// Exclusive ownership is reentrant per thread — the engine's auto-commit
 /// wrappers and the stores' TxnScope nest statement calls inside an open
@@ -351,13 +329,12 @@ class ExclusiveStatementGuard {
   StatementLatch* latch_;
 };
 
-/// RAII exclusive acquisition for a mutating statement. Under MVCC an open
-/// transaction no longer holds the statement latch for its lifetime, so
+/// RAII exclusive acquisition for a mutating statement. An open
+/// transaction does not hold the statement latch for its lifetime, so
 /// exclusivity alone does not keep a foreign thread's mutation out of a
 /// transaction it does not own; this guard additionally waits (holding no
 /// latch while it does) until either no transaction is open or the calling
-/// thread owns the open one. Equivalent to ExclusiveStatementGuard when
-/// MVCC is off, since then the owner thread holds the latch throughout.
+/// thread owns the open one.
 class WriteStatementGuard {
  public:
   explicit WriteStatementGuard(Database* db);
@@ -605,8 +582,8 @@ class Database {
   /// The intra-query execution pool, or null when parallel execution is
   /// disabled (the planner then never emits parallel operators).
   ThreadPool* thread_pool() const { return exec_pool_.get(); }
-  /// The bulk-load pool, or null when parallel loading is disabled (the
-  /// stores then shred serially).
+  /// The bulk-load pool, or null when num_load_threads is 0 (the stores
+  /// then shred inline on the calling thread).
   ThreadPool* load_pool() const { return load_pool_.get(); }
   /// The database-wide statement latch (tests use it to assert the
   /// reader/writer discipline; normal clients never touch it).
@@ -686,7 +663,7 @@ class Database {
   /// the statement latch at least shared).
   void SyncMvccStats();
   /// Arms `snap` with the current commit LSN when this reader statement
-  /// overlaps a foreign thread's open transaction under MVCC; otherwise
+  /// overlaps a foreign thread's open transaction; otherwise
   /// leaves it disengaged and the statement reads current state.
   void MaybeBeginSnapshot(std::optional<ScopedReadSnapshot>* snap) const;
 
@@ -702,8 +679,7 @@ class Database {
   std::map<std::string, HeapTable::Metadata> heap_snapshot_;
 
   /// Readers shared / writers exclusive. Acquired before any other engine
-  /// lock. With MVCC off, Begin holds exclusive until Commit/Rollback;
-  /// with MVCC on (default) exclusivity is per mutating statement.
+  /// lock; inside a transaction exclusivity is per mutating statement.
   mutable StatementLatch latch_;
   /// True between a successful Begin and the end of Commit/Rollback.
   /// Written under txn_mu_ (so WriteStatementGuard can wait on txn_cv_),
@@ -722,7 +698,7 @@ class Database {
   std::condition_variable txn_cv_;
   /// Intra-query workers, created at Open when enable_parallel_execution.
   std::unique_ptr<ThreadPool> exec_pool_;
-  /// Bulk-load workers, created at Open when enable_parallel_load.
+  /// Bulk-load workers, created at Open when num_load_threads > 0.
   std::unique_ptr<ThreadPool> load_pool_;
 
   // Statement governance (docs/INTERNALS.md §12). The registry maps the

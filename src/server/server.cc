@@ -93,14 +93,6 @@ Status OxmlServer::Start() {
   if (running_.load(std::memory_order_acquire)) {
     return Status::AlreadyExists("server is already running");
   }
-  if (!db_->options().enable_mvcc) {
-    // Without MVCC an open transaction pins the statement latch to the
-    // thread that ran Begin; session transactions hop pool threads, so the
-    // server refuses to start in that mode rather than deadlock later.
-    return Status::InvalidArgument(
-        "the server requires DatabaseOptions::enable_mvcc: session "
-        "transactions execute on whichever worker picks up the next frame");
-  }
   if (options_.worker_threads == 0) options_.worker_threads = 1;
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);

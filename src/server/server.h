@@ -73,11 +73,6 @@ struct ServerStats {
 /// A multi-client server over one embedded Database. The Database (and any
 /// registered stores) must outlive the server; Stop() (or destruction)
 /// closes every session, rolling back whatever transactions they own.
-///
-/// Requires DatabaseOptions::enable_mvcc: session transactions are served
-/// by whichever pool thread picks up the next frame, and the MVCC-off
-/// discipline pins the statement latch to the Begin thread for the
-/// transaction's lifetime, which is incompatible with that.
 class OxmlServer {
  public:
   OxmlServer(Database* db, ServerOptions options);

@@ -608,7 +608,7 @@ INSTANTIATE_TEST_SUITE_P(AllEncodings, CrashMatrixTest,
                            return OrderEncodingToString(info.param);
                          });
 
-// Regression: ParallelLoadDocument publishes rows_shredded / runs_merged /
+// Regression: LoadDocument publishes rows_shredded / runs_merged /
 // load_threads_used only after the install transaction commits. A load
 // whose install fails (any write-class I/O, EIO) must leave every load
 // counter untouched; the retry then loads and publishes normally.
@@ -624,7 +624,6 @@ TEST(ParallelLoadFaultTest, LoadStatsPublishOnlyAfterInstallCommit) {
     DatabaseOptions o;
     o.file_path = path;
     o.wal_checkpoint_threshold_bytes = 0;  // deterministic I/O schedule
-    o.enable_parallel_load = true;
     o.fault_plan = std::move(plan);
     return o;
   };

@@ -416,9 +416,9 @@ FuzzCase GenerateCase(uint64_t seed, size_t num_ops) {
   // recovery and the no-steal buffer pool see the same op distribution the
   // memory-resident path does.
   c.durable = rng.Chance(0.25);
-  // A third of all cases load through the parallel bulk pipeline, with a
-  // worker count drawn wide enough to cover both the degenerate 1-thread
-  // fan-out and real contention.
+  // A third of all cases shred their loads on a worker pool (the rest load
+  // inline on the calling thread), with a worker count drawn wide enough
+  // to cover both the degenerate 1-thread fan-out and real contention.
   if (rng.Chance(0.33)) {
     c.load_threads = static_cast<size_t>(rng.Uniform(1, 4));
   }
@@ -818,7 +818,6 @@ std::optional<FuzzFailure> RunCase(FuzzCase* c) {
     stores[e].dbopts = c->toggles[e].ToDatabaseOptions();
     stores[e].dbopts.default_statement_timeout_ms = c->timeout_ms;
     if (c->load_threads > 0) {
-      stores[e].dbopts.enable_parallel_load = true;
       stores[e].dbopts.num_load_threads = c->load_threads;
       // Tiny runs force multi-run merges even on the fuzzer's small docs.
       stores[e].dbopts.load_run_bytes = 1024;
@@ -1023,7 +1022,6 @@ std::optional<FuzzFailure> RunCase(FuzzCase* c) {
           return FuzzFailure{i, s.name, op.ToString() + ": " + msg};
         };
         DatabaseOptions ropts = s.dbopts;
-        ropts.enable_parallel_load = true;
         if (ropts.num_load_threads == 0) ropts.num_load_threads = 2;
         ropts.load_run_bytes = 1024;
         ropts.open_existing = false;

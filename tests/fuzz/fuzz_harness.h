@@ -52,8 +52,8 @@ struct FuzzOp {
                     // mid-run, reopen it, replay the WAL and re-verify the
                     // full document against the oracle
     kBulkReload,  // serialize the oracle's current document and reload it
-                  // into a fresh database through the parallel bulk-load
-                  // pipeline (partition → threaded shred → k-way merge →
+                  // into a fresh database whose load pool has >= 2
+                  // workers (partition → threaded shred → k-way merge →
                   // bulk-built indexes); the reloaded store must pass
                   // Validate() and reconstruct byte-equal to the oracle,
                   // then replaces the running store for subsequent ops
@@ -101,10 +101,10 @@ struct FuzzCase {
   /// checks that concurrent readers under the database's shared statement
   /// latch still match the DOM oracle exactly.
   size_t query_threads = 1;
-  /// When > 0, every database runs with enable_parallel_load and this many
-  /// load workers, so the initial document load and every kBulkReload go
-  /// through the parallel shred/merge/bulk-build pipeline instead of the
-  /// serial per-row path. Serialized as the `load_threads N` directive.
+  /// DatabaseOptions::num_load_threads for every database: when > 0 the
+  /// initial document load and every kBulkReload shred on this many pool
+  /// workers (with 1 KiB runs, forcing multi-run merges); 0 loads inline
+  /// on the calling thread. Serialized as the `load_threads N` directive.
   size_t load_threads = 0;
   /// When > 0, every database runs with this default statement deadline
   /// (DatabaseOptions::default_statement_timeout_ms), exercising the

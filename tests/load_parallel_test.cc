@@ -1,13 +1,19 @@
-// Parallel bulk loading: parallel-vs-serial differential on all three
-// encodings (byte-identical heap contents and QR1-QR8 results at 1/2/4/8
-// load threads), bulk-built B+tree invariant checks (leaf fill, key
-// order, split-key boundaries via CheckStructure), HeapTable::AppendBatch
-// tail-page caching, and reader liveness while a parallel load's shred
-// phase runs (LoadConcurrencyTest doubles as TSan workload — the
-// "Concurrency" suite-name substring keeps it in the CI TSan regex).
+// Bulk loading: a worker-count differential on all three encodings — the
+// heap after a load on 1/2/4/8 pool workers, and with 1 KiB runs, is
+// byte-identical to the inline (0-worker) load — plus QR1-QR8 answers,
+// full reconstruction and post-load updates checked against the DOM
+// oracle, on the news document and on edge-shaped documents (trailing
+// comment/PI, attribute-only root, single empty element, deep chain, wide
+// fan-out). Also: rejection of a second load into a loaded store,
+// bulk-built B+tree invariant checks (leaf fill, key order, split-key
+// boundaries via CheckStructure), HeapTable::AppendBatch tail-page
+// caching, and reader liveness while a load's shred phase runs
+// (LoadConcurrencyTest doubles as TSan workload — the "Concurrency"
+// suite-name substring keeps it in the CI TSan regex).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -15,6 +21,7 @@
 #include <vector>
 
 #include "src/core/parallel_shred.h"
+#include "src/core/xpath.h"
 #include "src/core/xpath_eval.h"
 #include "src/relational/btree.h"
 #include "src/relational/database.h"
@@ -22,9 +29,13 @@
 #include "src/xml/xml_generator.h"
 #include "src/xml/xml_parser.h"
 #include "src/xml/xml_writer.h"
+#include "tests/fuzz/dom_oracle.h"
 
 namespace oxml {
 namespace {
+
+using fuzz::DomOracle;
+using fuzz::OracleNode;
 
 // ------------------------------------------------------------- fixtures
 
@@ -41,11 +52,55 @@ std::unique_ptr<XmlDocument> NewsDoc() {
   return GenerateNewsXml(gen);
 }
 
-LoadedStore LoadNews(OrderEncoding enc, bool parallel_load,
-                     size_t load_threads = 4,
-                     size_t run_bytes = 1u << 20) {
+std::unique_ptr<XmlDocument> Parse(const std::string& xml) {
+  auto doc = ParseXml(xml);
+  EXPECT_TRUE(doc.ok()) << doc.status();
+  return doc.ok() ? std::move(doc).value() : std::make_unique<XmlDocument>();
+}
+
+/// A document every differential test loads, with the spot where the
+/// post-load update test inserts a subtree.
+struct ShapedDoc {
+  std::string name;
+  std::unique_ptr<XmlDocument> doc;
+  std::string insert_at;  // XPath selecting exactly one node
+  InsertPosition pos;
+};
+
+/// The news document the QR queries target, then the edge shapes of the
+/// partitioner: top-level siblings after the root, a root that is all
+/// header (attributes, no children), a one-row document, a chain deeper
+/// than any split threshold, and a fan-out wider than one unit.
+std::vector<ShapedDoc> Docs() {
+  std::vector<ShapedDoc> docs;
+  docs.push_back({"news", NewsDoc(), "/nitf/body/section[3]",
+                  InsertPosition::kAfter});
+  docs.push_back({"trailing_comment_pi",
+                  Parse("<r><a x=\"1\">t</a><b/></r><!-- c --><?pi d?>"),
+                  "/r", InsertPosition::kLastChild});
+  docs.push_back({"attribute_only_root", Parse("<r a=\"1\" b=\"2\" c=\"3\"/>"),
+                  "/r", InsertPosition::kFirstChild});
+  docs.push_back({"single_empty_element", Parse("<r/>"), "/r",
+                  InsertPosition::kLastChild});
+  std::string chain;
+  for (int i = 0; i < 300; ++i) chain += "<d>";
+  chain += "<leaf>bottom</leaf>";
+  for (int i = 0; i < 300; ++i) chain += "</d>";
+  docs.push_back({"deep_chain_300", Parse(chain), "//leaf",
+                  InsertPosition::kBefore});
+  std::string fan = "<r>";
+  for (int i = 0; i < 2000; ++i) fan += "<c>" + std::to_string(i) + "</c>";
+  fan += "</r>";
+  docs.push_back({"fanout_2000", Parse(fan), "/r/c[1000]",
+                  InsertPosition::kAfter});
+  return docs;
+}
+
+/// Loads `doc` into a fresh database whose load pool has `load_threads`
+/// workers (0 = inline on the calling thread).
+LoadedStore Load(OrderEncoding enc, const XmlDocument& doc,
+                 size_t load_threads, size_t run_bytes = 1u << 20) {
   DatabaseOptions opts;
-  opts.enable_parallel_load = parallel_load;
   opts.num_load_threads = load_threads;
   opts.load_run_bytes = run_bytes;
   LoadedStore out;
@@ -55,15 +110,15 @@ LoadedStore LoadNews(OrderEncoding enc, bool parallel_load,
   auto store = OrderedXmlStore::Create(out.db.get(), enc, StoreOptions{});
   EXPECT_TRUE(store.ok()) << store.status();
   out.store = std::move(store).value();
-  auto doc = NewsDoc();
-  EXPECT_TRUE(out.store->LoadDocument(*doc).ok());
+  Status st = out.store->LoadDocument(doc);
+  EXPECT_TRUE(st.ok()) << st;
   return out;
 }
 
 /// Every live heap row of `table` in page-chain (= insertion) order,
-/// encoded to its exact storage bytes. Comparing these streams proves the
-/// parallel load produced the same rows in the same physical order as the
-/// serial load — strictly stronger than comparing query results.
+/// encoded to its exact storage bytes. Comparing these streams proves two
+/// loads produced the same rows in the same physical order — strictly
+/// stronger than comparing query results.
 std::vector<std::string> HeapRowBytes(Database* db,
                                       const std::string& table) {
   std::vector<std::string> out;
@@ -82,12 +137,35 @@ std::vector<std::string> HeapRowBytes(Database* db,
   return out;
 }
 
-std::vector<std::string> Identities(OrderEncoding enc,
-                                    const std::vector<StoredNode>& nodes) {
-  std::vector<std::string> out;
-  out.reserve(nodes.size());
-  for (const StoredNode& n : nodes) out.push_back(NodeIdentity(enc, n));
-  return out;
+/// The store-side counterpart of DomOracle::Signature.
+std::string StoreSignature(OrderedXmlStore* store, const StoredNode& n) {
+  if (n.kind == XmlNodeKind::kAttribute) return "@" + n.tag + "=" + n.value;
+  auto subtree = store->ReconstructSubtree(n);
+  EXPECT_TRUE(subtree.ok()) << subtree.status();
+  return subtree.ok() ? WriteXml(**subtree) : "";
+}
+
+/// Evaluates `xpath` on the store and the oracle and expects the same
+/// signature sequence (document order included); returns its length.
+size_t ExpectMatchesOracle(OrderedXmlStore* store, DomOracle* oracle,
+                           const std::string& xpath) {
+  auto query = ParseXPath(xpath);
+  if (!query.ok()) {
+    ADD_FAILURE() << xpath << " -> " << query.status();
+    return 0;
+  }
+  auto got = EvaluateXPath(store, *query);
+  if (!got.ok()) {
+    ADD_FAILURE() << xpath << " -> " << got.status();
+    return 0;
+  }
+  std::vector<OracleNode> want = oracle->Evaluate(*query);
+  EXPECT_EQ(got->size(), want.size()) << xpath;
+  for (size_t i = 0; i < std::min(got->size(), want.size()); ++i) {
+    EXPECT_EQ(StoreSignature(store, (*got)[i]), oracle->Signature(want[i]))
+        << xpath << " result " << i;
+  }
+  return want.size();
 }
 
 const char* const kQueries[] = {
@@ -98,116 +176,178 @@ const char* const kQueries[] = {
     "/nitf/body//para",                                  // QR5
     "//para[@class = 'lead']",                           // QR6
     "/nitf/body/section[position() >= 5]/title",         // QR7
+    "/nitf/body/section[3]",                             // QR8 (subtree)
 };
 
-// --------------------------------------- parallel-vs-serial differential
+// ------------------------------------------- worker-count differential
 
 class ParallelLoadDifferentialTest
     : public ::testing::TestWithParam<OrderEncoding> {};
 
-// The acceptance bar of the pipeline: at every thread count the parallel
-// load must leave the heap byte-identical (same rows, same physical
-// order) to the serial load, because order keys are pre-assigned from the
-// partition pass and the k-way merge restores serial document order.
+// The acceptance bar of the pipeline: at every worker count the load must
+// leave the heap byte-identical (same rows, same physical order) to the
+// inline load, because order keys are pre-assigned from the partition
+// pass and the k-way merge restores document order.
 TEST_P(ParallelLoadDifferentialTest, ByteIdenticalAtEveryThreadCount) {
   OrderEncoding enc = GetParam();
-  LoadedStore serial = LoadNews(enc, /*parallel_load=*/false);
-  std::vector<std::string> want = HeapRowBytes(serial.db.get(), "nodes");
-  ASSERT_FALSE(want.empty());
+  for (const ShapedDoc& d : Docs()) {
+    SCOPED_TRACE(d.name);
+    LoadedStore inline_load = Load(enc, *d.doc, 0);
+    std::vector<std::string> want =
+        HeapRowBytes(inline_load.db.get(), "nodes");
+    ASSERT_FALSE(want.empty());
+    EXPECT_EQ(inline_load.db->load_pool(), nullptr);
+    EXPECT_EQ(inline_load.db->stats()->load_threads_used.value(), 1u);
 
-  for (size_t threads : {1u, 2u, 4u, 8u}) {
-    LoadedStore par = LoadNews(enc, /*parallel_load=*/true, threads);
-    EXPECT_EQ(HeapRowBytes(par.db.get(), "nodes"), want)
-        << "threads=" << threads;
-    const ExecStats* stats = par.db->stats();
-    EXPECT_EQ(stats->rows_shredded.value(), want.size())
-        << "threads=" << threads;
-    EXPECT_GE(stats->runs_merged.value(), 1u);
-    EXPECT_GE(stats->load_threads_used.value(), 1u);
-    EXPECT_LE(stats->load_threads_used.value(), threads + 1);
+    for (size_t threads : {1u, 2u, 4u, 8u}) {
+      LoadedStore par = Load(enc, *d.doc, threads);
+      EXPECT_EQ(HeapRowBytes(par.db.get(), "nodes"), want)
+          << "threads=" << threads;
+      const ExecStats* stats = par.db->stats();
+      EXPECT_EQ(stats->rows_shredded.value(), want.size())
+          << "threads=" << threads;
+      EXPECT_GE(stats->runs_merged.value(), 1u);
+      EXPECT_GE(stats->load_threads_used.value(), 1u);
+      EXPECT_LE(stats->load_threads_used.value(), threads + 1);
+    }
   }
 }
 
-// Tiny run budget => every worker seals many runs => the k-way merge is
-// actually exercised (a single run would bypass it).
+// Tiny run budget => every worker (the inline caller included) seals many
+// runs => the k-way merge is actually exercised (a single run would
+// bypass it).
 TEST_P(ParallelLoadDifferentialTest, ManySmallRunsMergeBackToSerialOrder) {
   OrderEncoding enc = GetParam();
-  LoadedStore serial = LoadNews(enc, /*parallel_load=*/false);
-  LoadedStore par =
-      LoadNews(enc, /*parallel_load=*/true, 4, /*run_bytes=*/1024);
-  EXPECT_GT(par.db->stats()->runs_merged.value(), 1u);
-  EXPECT_EQ(HeapRowBytes(par.db.get(), "nodes"),
-            HeapRowBytes(serial.db.get(), "nodes"));
+  for (const ShapedDoc& d : Docs()) {
+    SCOPED_TRACE(d.name);
+    LoadedStore inline_load = Load(enc, *d.doc, 0);
+    std::vector<std::string> want =
+        HeapRowBytes(inline_load.db.get(), "nodes");
+    for (size_t threads : {0u, 4u}) {
+      LoadedStore small = Load(enc, *d.doc, threads, /*run_bytes=*/1024);
+      if (d.name == "news") {
+        EXPECT_GT(small.db->stats()->runs_merged.value(), 1u);
+      }
+      EXPECT_EQ(HeapRowBytes(small.db.get(), "nodes"), want)
+          << "threads=" << threads;
+    }
+  }
 }
 
+// QR1-QR8 on the news document, plus whole-document axes on every shape,
+// against the DOM oracle.
 TEST_P(ParallelLoadDifferentialTest, QueriesMatchSerialLoad) {
   OrderEncoding enc = GetParam();
-  LoadedStore par = LoadNews(enc, /*parallel_load=*/true);
-  LoadedStore ser = LoadNews(enc, /*parallel_load=*/false);
-
-  for (const char* xpath : kQueries) {
-    auto a = EvaluateXPath(par.store.get(), xpath);
-    auto b = EvaluateXPath(ser.store.get(), xpath);
-    ASSERT_TRUE(a.ok()) << xpath << " -> " << a.status();
-    ASSERT_TRUE(b.ok()) << xpath << " -> " << b.status();
-    EXPECT_FALSE(b->empty()) << xpath;
-    EXPECT_EQ(Identities(enc, *a), Identities(enc, *b)) << xpath;
+  for (const ShapedDoc& d : Docs()) {
+    SCOPED_TRACE(d.name);
+    DomOracle oracle(*d.doc);
+    for (size_t threads : {0u, 4u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      LoadedStore ls = Load(enc, *d.doc, threads);
+      if (d.name == "news") {
+        for (const char* xpath : kQueries) {
+          EXPECT_GT(ExpectMatchesOracle(ls.store.get(), &oracle, xpath), 0u)
+              << xpath;
+        }
+      }
+      for (const char* xpath : {"/*", "//*", "//text()", "//*/@*"}) {
+        ExpectMatchesOracle(ls.store.get(), &oracle, xpath);
+      }
+    }
   }
-
-  // QR8: subtree reconstruction of one section.
-  auto sa = EvaluateXPath(par.store.get(), "/nitf/body/section[3]");
-  auto sb = EvaluateXPath(ser.store.get(), "/nitf/body/section[3]");
-  ASSERT_TRUE(sa.ok() && sb.ok());
-  ASSERT_EQ(sa->size(), 1u);
-  ASSERT_EQ(sb->size(), 1u);
-  auto ra = par.store->ReconstructSubtree((*sa)[0]);
-  auto rb = ser.store->ReconstructSubtree((*sb)[0]);
-  ASSERT_TRUE(ra.ok()) << ra.status();
-  ASSERT_TRUE(rb.ok()) << rb.status();
-  EXPECT_EQ(WriteXml(**ra), WriteXml(**rb));
 }
 
 // The store's own invariant checker plus full-document reconstruction
-// against the original DOM, after a parallel load.
+// against the original DOM.
 TEST_P(ParallelLoadDifferentialTest, ValidatesAndReconstructs) {
   OrderEncoding enc = GetParam();
-  LoadedStore par = LoadNews(enc, /*parallel_load=*/true);
-  EXPECT_TRUE(par.store->Validate().ok());
-  auto doc = NewsDoc();
-  auto rebuilt = par.store->ReconstructDocument();
-  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
-  EXPECT_EQ(WriteXml(**rebuilt), WriteXml(*doc));
+  for (const ShapedDoc& d : Docs()) {
+    SCOPED_TRACE(d.name);
+    for (size_t threads : {0u, 4u}) {
+      LoadedStore ls = Load(enc, *d.doc, threads);
+      Status valid = ls.store->Validate();
+      EXPECT_TRUE(valid.ok()) << "threads=" << threads << ": " << valid;
+      auto rebuilt = ls.store->ReconstructDocument();
+      ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+      EXPECT_EQ(WriteXml(**rebuilt), WriteXml(*d.doc))
+          << "threads=" << threads;
+    }
+  }
 }
 
-// A parallel load must not disturb subsequent incremental updates: the
-// Local id allocator and the Global/Dewey gap numbering have to continue
-// exactly where a serial load would have left them.
+// A load must not disturb subsequent incremental updates: the Local id
+// allocator and the Global/Dewey gap numbering have to continue where the
+// load left them. The store must end up equal to the DOM with the same
+// insert applied.
 TEST_P(ParallelLoadDifferentialTest, UpdatesAfterParallelLoadStayCorrect) {
   OrderEncoding enc = GetParam();
-  LoadedStore par = LoadNews(enc, /*parallel_load=*/true);
-  LoadedStore ser = LoadNews(enc, /*parallel_load=*/false);
+  auto sub = ParseXml("<aside kind=\"pullquote\"><para>new</para></aside>");
+  ASSERT_TRUE(sub.ok()) << sub.status();
+  const XmlNode& payload = *(*sub)->root()->children()[0];
+  for (const ShapedDoc& d : Docs()) {
+    SCOPED_TRACE(d.name);
+    DomOracle oracle(*d.doc);
+    auto query = ParseXPath(d.insert_at);
+    ASSERT_TRUE(query.ok()) << query.status();
+    std::vector<OracleNode> ref = oracle.Evaluate(*query);
+    ASSERT_EQ(ref.size(), 1u);
+    ASSERT_TRUE(oracle.Insert(oracle.ResolvePath(oracle.PathOf(ref[0].node)),
+                              d.pos, payload.Clone()));
+    const std::string want = oracle.Serialize();
 
-  for (LoadedStore* ls : {&par, &ser}) {
-    auto target = EvaluateXPath(ls->store.get(), "/nitf/body/section[3]");
-    ASSERT_TRUE(target.ok()) << target.status();
-    ASSERT_EQ(target->size(), 1u);
-    auto sub = ParseXml("<aside kind=\"pullquote\"><para>new</para></aside>");
-    ASSERT_TRUE(sub.ok()) << sub.status();
-    auto ins = ls->store->InsertSubtree((*target)[0], InsertPosition::kAfter,
-                                        *(*sub)->root()->children()[0]);
-    ASSERT_TRUE(ins.ok()) << ins.status();
-    EXPECT_TRUE(ls->store->Validate().ok());
+    for (size_t threads : {0u, 4u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      LoadedStore ls = Load(enc, *d.doc, threads);
+      auto target = EvaluateXPath(ls.store.get(), *query);
+      ASSERT_TRUE(target.ok()) << target.status();
+      ASSERT_EQ(target->size(), 1u);
+      auto ins = ls.store->InsertSubtree((*target)[0], d.pos, payload);
+      ASSERT_TRUE(ins.ok()) << ins.status();
+      Status valid = ls.store->Validate();
+      EXPECT_TRUE(valid.ok()) << valid;
+      auto rebuilt = ls.store->ReconstructDocument();
+      ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+      EXPECT_EQ(WriteXml(**rebuilt), want);
+    }
   }
-  auto ra = par.store->ReconstructDocument();
-  auto rb = ser.store->ReconstructDocument();
-  ASSERT_TRUE(ra.ok() && rb.ok());
-  EXPECT_EQ(WriteXml(**ra), WriteXml(**rb));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEncodings, ParallelLoadDifferentialTest,
                          ::testing::Values(OrderEncoding::kGlobal,
                                            OrderEncoding::kLocal,
                                            OrderEncoding::kDewey));
+
+// ------------------------------------------------- second load rejected
+
+// A second load into a loaded store would interleave the two documents'
+// order keys (duplicate ords / (pid, sord) pairs / Dewey paths). It must
+// fail before writing a row and leave the first document intact.
+TEST(LoadDocumentTest, SecondLoadIntoLoadedStoreIsRejected) {
+  auto doc = Parse("<a x=\"1\"><b>t</b><c/></a>");
+  const std::string want = WriteXml(*doc);
+  for (OrderEncoding enc : {OrderEncoding::kGlobal, OrderEncoding::kLocal,
+                            OrderEncoding::kDewey}) {
+    for (size_t threads : {0u, 2u}) {
+      SCOPED_TRACE(std::string(OrderEncodingToString(enc)) +
+                   " threads=" + std::to_string(threads));
+      LoadedStore ls = Load(enc, *doc, threads);
+      auto rows = ls.store->NodeCount();
+      ASSERT_TRUE(rows.ok()) << rows.status();
+
+      Status again = ls.store->LoadDocument(*doc);
+      EXPECT_TRUE(again.IsInvalidArgument()) << again;
+      auto rows_after = ls.store->NodeCount();
+      ASSERT_TRUE(rows_after.ok()) << rows_after.status();
+      EXPECT_EQ(*rows_after, *rows);
+      Status valid = ls.store->Validate();
+      EXPECT_TRUE(valid.ok()) << valid;
+      auto rebuilt = ls.store->ReconstructDocument();
+      ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+      EXPECT_EQ(WriteXml(**rebuilt), want);
+      EXPECT_FALSE(ls.db->InTransaction());
+    }
+  }
+}
 
 // ------------------------------------------------------ partition algebra
 
@@ -434,13 +574,12 @@ TEST(AppendBatchTest, BulkLoadFallsBackOnNonEmptyTable) {
 
 // -------------------------------------------------- load/read concurrency
 
-// The shred phase of a parallel load runs outside the exclusive statement
+// The shred phase of a load runs outside the exclusive statement
 // latch, so readers of an already-loaded table must keep making progress
 // while another document is being shredded into a second table. Under
 // TSan this also audits the pool/latch interaction of the load path.
 TEST(LoadConcurrencyTest, ReadersOverlapParallelLoad) {
   DatabaseOptions opts;
-  opts.enable_parallel_load = true;
   opts.num_load_threads = 2;
   auto db = Database::Open(opts);
   ASSERT_TRUE(db.ok()) << db.status();

@@ -2,8 +2,8 @@
 // while a write transaction is open, served committed page versions and
 // index deltas (docs/INTERNALS.md §11). Covers the snapshot differential
 // over the QR workload on every encoding, index-delta visibility through
-// commit and rollback, the foreign-writer gate, the enable_mvcc=false
-// fallback, snapshot-LSN recovery, and the statement-latch owner check.
+// commit and rollback, the foreign-writer gate, snapshot-LSN recovery,
+// and the statement-latch owner check.
 //
 // Built with -DOXML_TSAN=ON in CI, these tests double as the
 // ThreadSanitizer workload for the version chains and the write gate.
@@ -175,37 +175,6 @@ TEST(MvccTest, ForeignWriterGatesUntilTransactionEnds) {
   auto rs = db->Query("SELECT COUNT(*) FROM t");
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(rs->rows[0][0].AsInt(), 2);
-}
-
-// The off switch restores the pre-MVCC discipline: Begin holds the
-// statement latch exclusively until Commit, so a foreign reader blocks
-// for the transaction's whole lifetime.
-TEST(MvccTest, DisabledMvccRestoresLifetimeExclusion) {
-  DatabaseOptions opts;
-  opts.enable_mvcc = false;
-  auto dbr = Database::Open(opts);
-  ASSERT_TRUE(dbr.ok()) << dbr.status();
-  std::unique_ptr<Database> db = std::move(dbr).value();
-  ASSERT_TRUE(db->Execute("CREATE TABLE t (a INT)").ok());
-
-  ASSERT_TRUE(db->Begin().ok());
-  ASSERT_TRUE(db->ExecuteP("INSERT INTO t VALUES (?)", {Value::Int(1)}).ok());
-
-  std::atomic<bool> read_done{false};
-  int64_t seen = -1;
-  std::thread reader([&] {
-    auto rs = db->Query("SELECT COUNT(*) FROM t");
-    if (rs.ok()) seen = rs->rows[0][0].AsInt();
-    read_done.store(true, std::memory_order_release);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(read_done.load(std::memory_order_acquire));
-
-  ASSERT_TRUE(db->Commit().ok());
-  reader.join();
-  EXPECT_TRUE(read_done.load());
-  EXPECT_EQ(seen, 1);  // blocked readers observe the committed state
-  EXPECT_EQ(db->stats()->snapshot_reads, 0u);
 }
 
 // The snapshot clock is recovered from the WAL's commit records, so LSNs

@@ -386,17 +386,6 @@ struct ServerFixture {
   }
 };
 
-TEST(ServerTest, RefusesToStartWithoutMvcc) {
-  DatabaseOptions dbopts;
-  dbopts.enable_mvcc = false;
-  auto db = Database::Open(dbopts);
-  ASSERT_TRUE(db.ok());
-  OxmlServer server(db->get(), ServerOptions{});
-  Status st = server.Start();
-  ASSERT_FALSE(st.ok());
-  EXPECT_TRUE(st.IsInvalidArgument());
-}
-
 TEST(ServerTest, HelloQueryExecuteRoundTrip) {
   ServerFixture fx;
   auto client = fx.Connect();
