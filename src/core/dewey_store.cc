@@ -116,35 +116,20 @@ Status DeweyStore::EmitUnitRows(const ShredUnit& u, std::vector<Row>* rows) {
   return Status::OK();
 }
 
-Result<std::vector<StoredNode>> DeweyStore::Select(const std::string& where,
-                                                   Row params,
-                                                   const std::string& order) {
-  std::string sql = std::string("SELECT ") + kCols + " FROM " + table_name();
-  if (!where.empty()) sql += " WHERE " + where;
-  if (!order.empty()) sql += " ORDER BY " + order;
-  OXML_ASSIGN_OR_RETURN(ResultSet rs, SqlP(sql, std::move(params)));
-  std::vector<StoredNode> out;
-  out.reserve(rs.rows.size());
-  for (const Row& row : rs.rows) out.push_back(FromDeweyRow(row));
-  return out;
-}
-
-Result<StoredNode> DeweyStore::SelectOne(const std::string& where,
-                                         Row params) {
-  OXML_ASSIGN_OR_RETURN(std::vector<StoredNode> nodes,
-                        Select(where, std::move(params), "path"));
-  if (nodes.empty()) return Status::NotFound("no node matches: " + where);
-  return nodes.front();
-}
-
+// The root element is the first depth-1 element key of the path index.
+// `path >= ''` (every key) is what lets the planner pick that index, elide
+// the sort and stop at the first qualifying row; leading prolog comments
+// and PIs are filtered, not scanned past. Filtering on the unindexed depth
+// alone would scan the whole table.
 Result<StoredNode> DeweyStore::Root() {
-  return SelectOne("depth = 1 AND kind = " +
-                       IntLit(static_cast<int>(XmlNodeKind::kElement)),
-                   {});
+  return SelectFirst("path >= ? AND depth = 1 AND kind = " +
+                         IntLit(static_cast<int>(XmlNodeKind::kElement)),
+                     {Value::Blob("")}, "path");
 }
 
 Result<std::vector<StoredNode>> DeweyStore::Children(const StoredNode& node,
-                                                     const NodeTest& test) {
+                                                     const NodeTest& test,
+                                                     size_t limit) {
   Row params{Value::Blob(node.path),
              Value::Blob(BlobPrefixUpperBound(node.path)),
              Value::Int(node.depth + 1)};
@@ -152,7 +137,7 @@ Result<std::vector<StoredNode>> DeweyStore::Children(const StoredNode& node,
   // argument evaluation order would otherwise race it against the move.
   std::string where = "path > ? AND path < ? AND depth = ? AND " +
                       test.SqlConditionP(&params);
-  return Select(where, std::move(params), "path");
+  return Select(where, std::move(params), "path", limit);
 }
 
 Result<std::vector<StoredNode>> DeweyStore::Descendants(
@@ -165,7 +150,7 @@ Result<std::vector<StoredNode>> DeweyStore::Descendants(
 }
 
 Result<std::vector<StoredNode>> DeweyStore::FollowingSiblings(
-    const StoredNode& node, const NodeTest& test) {
+    const StoredNode& node, const NodeTest& test, size_t limit) {
   OXML_ASSIGN_OR_RETURN(DeweyKey key, DeweyKey::Decode(node.path));
   Row params{Value::Blob(BlobPrefixUpperBound(node.path)),
              Value::Int(node.depth)};
@@ -175,7 +160,7 @@ Result<std::vector<StoredNode>> DeweyStore::FollowingSiblings(
     where += " AND path < ?";
     params.push_back(Value::Blob(key.Parent().SubtreeUpperBound()));
   }
-  return Select(where, std::move(params), "path");
+  return Select(where, std::move(params), "path", limit);
 }
 
 Result<std::vector<StoredNode>> DeweyStore::PrecedingSiblings(
@@ -208,7 +193,8 @@ Result<std::vector<StoredNode>> DeweyStore::Attributes(
 Result<StoredNode> DeweyStore::Parent(const StoredNode& node) {
   OXML_ASSIGN_OR_RETURN(DeweyKey key, DeweyKey::Decode(node.path));
   if (key.depth() <= 1) return Status::NotFound("root has no parent");
-  return SelectOne("path = ?", {Value::Blob(key.Parent().Encode())});
+  return SelectFirst("path = ?", {Value::Blob(key.Parent().Encode())},
+                     "path");
 }
 
 Status DeweyStore::SortDocumentOrder(std::vector<StoredNode>* nodes) {

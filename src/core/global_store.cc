@@ -130,40 +130,22 @@ Status GlobalStore::EmitUnitRows(const ShredUnit& u, std::vector<Row>* rows) {
   return Status::OK();
 }
 
-Result<std::vector<StoredNode>> GlobalStore::Select(const std::string& where,
-                                                    Row params,
-                                                    const std::string& order) {
-  std::string sql = std::string("SELECT ") + kCols + " FROM " + table_name();
-  if (!where.empty()) sql += " WHERE " + where;
-  if (!order.empty()) sql += " ORDER BY " + order;
-  OXML_ASSIGN_OR_RETURN(ResultSet rs, SqlP(sql, std::move(params)));
-  std::vector<StoredNode> out;
-  out.reserve(rs.rows.size());
-  for (const Row& row : rs.rows) out.push_back(FromGlobalRow(row));
-  return out;
-}
-
-Result<StoredNode> GlobalStore::SelectOne(const std::string& where,
-                                          Row params) {
-  OXML_ASSIGN_OR_RETURN(std::vector<StoredNode> nodes,
-                        Select(where, std::move(params), "ord"));
-  if (nodes.empty()) return Status::NotFound("no node matches: " + where);
-  return nodes.front();
-}
-
+// An ordered probe of the (pord, ord) index: top-level prolog comments and
+// PIs are filtered on the way to the first element, not scanned past.
 Result<StoredNode> GlobalStore::Root() {
-  return SelectOne("pord = 0 AND kind = " +
-                       IntLit(static_cast<int>(XmlNodeKind::kElement)),
-                   {});
+  return SelectFirst("pord = 0 AND kind = " +
+                         IntLit(static_cast<int>(XmlNodeKind::kElement)),
+                     {}, "ord");
 }
 
 Result<std::vector<StoredNode>> GlobalStore::Children(const StoredNode& node,
-                                                      const NodeTest& test) {
+                                                      const NodeTest& test,
+                                                      size_t limit) {
   Row params{Value::Int(node.ord)};
   // Built before the Select call: SqlConditionP appends to `params`, and
   // argument evaluation order would otherwise race it against the move.
   std::string where = "pord = ? AND " + test.SqlConditionP(&params);
-  return Select(where, std::move(params), "ord");
+  return Select(where, std::move(params), "ord", limit);
 }
 
 Result<std::vector<StoredNode>> GlobalStore::Descendants(
@@ -175,11 +157,11 @@ Result<std::vector<StoredNode>> GlobalStore::Descendants(
 }
 
 Result<std::vector<StoredNode>> GlobalStore::FollowingSiblings(
-    const StoredNode& node, const NodeTest& test) {
+    const StoredNode& node, const NodeTest& test, size_t limit) {
   Row params{Value::Int(node.pord), Value::Int(node.ord)};
   std::string where =
       "pord = ? AND ord > ? AND " + test.SqlConditionP(&params);
-  return Select(where, std::move(params), "ord");
+  return Select(where, std::move(params), "ord", limit);
 }
 
 Result<std::vector<StoredNode>> GlobalStore::PrecedingSiblings(
@@ -204,7 +186,7 @@ Result<std::vector<StoredNode>> GlobalStore::Attributes(
 
 Result<StoredNode> GlobalStore::Parent(const StoredNode& node) {
   if (node.pord == 0) return Status::NotFound("root has no parent");
-  return SelectOne("ord = ?", {Value::Int(node.pord)});
+  return SelectFirst("ord = ?", {Value::Int(node.pord)}, "ord");
 }
 
 Status GlobalStore::SortDocumentOrder(std::vector<StoredNode>* nodes) {

@@ -135,40 +135,22 @@ Status LocalStore::EmitUnitRows(const ShredUnit& u, std::vector<Row>* rows) {
   return Status::OK();
 }
 
-Result<std::vector<StoredNode>> LocalStore::Select(const std::string& where,
-                                                   Row params,
-                                                   const std::string& order) {
-  std::string sql = std::string("SELECT ") + kCols + " FROM " + table_name();
-  if (!where.empty()) sql += " WHERE " + where;
-  if (!order.empty()) sql += " ORDER BY " + order;
-  OXML_ASSIGN_OR_RETURN(ResultSet rs, SqlP(sql, std::move(params)));
-  std::vector<StoredNode> out;
-  out.reserve(rs.rows.size());
-  for (const Row& row : rs.rows) out.push_back(FromLocalRow(row));
-  return out;
-}
-
-Result<StoredNode> LocalStore::SelectOne(const std::string& where,
-                                         Row params) {
-  OXML_ASSIGN_OR_RETURN(std::vector<StoredNode> nodes,
-                        Select(where, std::move(params), "id"));
-  if (nodes.empty()) return Status::NotFound("no node matches: " + where);
-  return nodes.front();
-}
-
+// An ordered probe of the (pid, sord) index: top-level prolog comments and
+// PIs are filtered on the way to the first element, not scanned past.
 Result<StoredNode> LocalStore::Root() {
-  return SelectOne("pid = 0 AND kind = " +
-                       IntLit(static_cast<int>(XmlNodeKind::kElement)),
-                   {});
+  return SelectFirst("pid = 0 AND kind = " +
+                         IntLit(static_cast<int>(XmlNodeKind::kElement)),
+                     {}, "sord");
 }
 
 Result<std::vector<StoredNode>> LocalStore::Children(const StoredNode& node,
-                                                     const NodeTest& test) {
+                                                     const NodeTest& test,
+                                                     size_t limit) {
   Row params{Value::Int(node.id)};
   // Built before the Select call: SqlConditionP appends to `params`, and
   // argument evaluation order would otherwise race it against the move.
   std::string where = "pid = ? AND " + test.SqlConditionP(&params);
-  return Select(where, std::move(params), "sord");
+  return Select(where, std::move(params), "sord", limit);
 }
 
 Result<std::vector<StoredNode>> LocalStore::Descendants(
@@ -209,11 +191,11 @@ Result<std::vector<StoredNode>> LocalStore::Descendants(
 }
 
 Result<std::vector<StoredNode>> LocalStore::FollowingSiblings(
-    const StoredNode& node, const NodeTest& test) {
+    const StoredNode& node, const NodeTest& test, size_t limit) {
   Row params{Value::Int(node.pid), Value::Int(node.sord)};
   std::string where =
       "pid = ? AND sord > ? AND " + test.SqlConditionP(&params);
-  return Select(where, std::move(params), "sord");
+  return Select(where, std::move(params), "sord", limit);
 }
 
 Result<std::vector<StoredNode>> LocalStore::PrecedingSiblings(
@@ -238,7 +220,7 @@ Result<std::vector<StoredNode>> LocalStore::Attributes(
 
 Result<StoredNode> LocalStore::Parent(const StoredNode& node) {
   if (node.pid == 0) return Status::NotFound("root has no parent");
-  return SelectOne("id = ?", {Value::Int(node.pid)});
+  return SelectFirst("id = ?", {Value::Int(node.pid)}, "id");
 }
 
 Result<std::vector<int64_t>> LocalStore::OrdinalPath(

@@ -1,5 +1,8 @@
 #include "src/core/ordered_store.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "src/common/strings.h"
 #include "src/core/stores.h"
 #include "src/relational/thread_pool.h"
@@ -163,6 +166,35 @@ Result<std::unique_ptr<OrderedXmlStore>> OrderedXmlStore::Attach(
   OXML_RETURN_NOT_OK(
       static_cast<StoreBase*>(store.get())->InitializeExisting());
   return store;
+}
+
+Result<std::vector<StoredNode>> StoreBase::Select(const std::string& where,
+                                                  Row params,
+                                                  const std::string& order,
+                                                  size_t limit) {
+  std::string sql =
+      std::string("SELECT ") + NodeColumns() + " FROM " + table_name();
+  if (!where.empty()) sql += " WHERE " + where;
+  if (!order.empty()) sql += " ORDER BY " + order;
+  if (limit > 0) {
+    sql += " LIMIT ?";
+    params.push_back(Value::Int(static_cast<int64_t>(
+        std::min<size_t>(limit, std::numeric_limits<int64_t>::max()))));
+  }
+  OXML_ASSIGN_OR_RETURN(ResultSet rs, SqlP(sql, std::move(params)));
+  std::vector<StoredNode> out;
+  out.reserve(rs.rows.size());
+  for (const Row& row : rs.rows) out.push_back(NodeFromRow(row));
+  return out;
+}
+
+Result<StoredNode> StoreBase::SelectFirst(const std::string& where,
+                                          Row params,
+                                          const std::string& order) {
+  OXML_ASSIGN_OR_RETURN(std::vector<StoredNode> nodes,
+                        Select(where, std::move(params), order, 1));
+  if (nodes.empty()) return Status::NotFound("no node matches: " + where);
+  return nodes.front();
 }
 
 Result<ResultSet> OrderedXmlStore::Sql(const std::string& sql,
@@ -344,7 +376,10 @@ Result<int64_t> OrderedXmlStore::NodeCount() {
 Result<StoredNode> OrderedXmlStore::ChildAt(const StoredNode& parent,
                                             const NodeTest& test,
                                             size_t idx) {
-  OXML_ASSIGN_OR_RETURN(std::vector<StoredNode> kids, Children(parent, test));
+  // Reads only the first idx + 1 matches; a shorter answer is every match,
+  // so its size is still the true child count for the error.
+  OXML_ASSIGN_OR_RETURN(std::vector<StoredNode> kids,
+                        Children(parent, test, idx + 1));
   if (idx >= kids.size()) {
     return Status::OutOfRange("child index " + std::to_string(idx) +
                               " out of range (" +

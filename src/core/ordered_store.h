@@ -103,17 +103,20 @@ class OrderedXmlStore {
   /// The root element.
   virtual Result<StoredNode> Root() = 0;
 
-  /// Child axis, in sibling order.
+  /// Child axis, in sibling order. A `limit` > 0 returns only the first
+  /// `limit` matches and reads only the rows up to them (positional steps
+  /// and ChildAt); 0 returns every match.
   virtual Result<std::vector<StoredNode>> Children(const StoredNode& node,
-                                                   const NodeTest& test) = 0;
+                                                   const NodeTest& test,
+                                                   size_t limit = 0) = 0;
 
   /// Descendant axis, in document order.
   virtual Result<std::vector<StoredNode>> Descendants(
       const StoredNode& node, const NodeTest& test) = 0;
 
-  /// Following-sibling axis, in sibling order.
+  /// Following-sibling axis, in sibling order; `limit` as for Children.
   virtual Result<std::vector<StoredNode>> FollowingSiblings(
-      const StoredNode& node, const NodeTest& test) = 0;
+      const StoredNode& node, const NodeTest& test, size_t limit = 0) = 0;
 
   /// Preceding-sibling axis, in sibling (document) order.
   virtual Result<std::vector<StoredNode>> PrecedingSiblings(

@@ -26,6 +26,20 @@ class StoreBase : public OrderedXmlStore {
   /// Restores per-store state when attaching to an existing table
   /// (e.g. the local encoding's id counter).
   virtual Status InitializeExisting() { return Status::OK(); }
+
+ protected:
+  /// SELECTs NodeColumns() rows matching `where` ('?' markers bound from
+  /// `params`) in `order`. A `limit` > 0 appends "LIMIT ?", so the scan
+  /// stops after that many rows and one cached plan serves every limit;
+  /// 0 leaves the statement unlimited. SQL texts are stable across calls,
+  /// so repeated axis steps reuse one cached plan.
+  Result<std::vector<StoredNode>> Select(const std::string& where,
+                                         Row params,
+                                         const std::string& order,
+                                         size_t limit = 0);
+  /// The first row of Select(where, params, order, 1); NotFound if none.
+  Result<StoredNode> SelectFirst(const std::string& where, Row params,
+                                 const std::string& order);
 };
 
 /// Global order encoding: every node carries its absolute position in
@@ -49,11 +63,13 @@ class GlobalStore : public StoreBase {
       const StoredNode& node) override;
   Result<StoredNode> Root() override;
   Result<std::vector<StoredNode>> Children(const StoredNode& node,
-                                           const NodeTest& test) override;
+                                           const NodeTest& test,
+                                           size_t limit = 0) override;
   Result<std::vector<StoredNode>> Descendants(const StoredNode& node,
                                               const NodeTest& test) override;
   Result<std::vector<StoredNode>> FollowingSiblings(
-      const StoredNode& node, const NodeTest& test) override;
+      const StoredNode& node, const NodeTest& test,
+      size_t limit = 0) override;
   Result<std::vector<StoredNode>> PrecedingSiblings(
       const StoredNode& node, const NodeTest& test) override;
   Result<std::vector<StoredNode>> Attributes(const StoredNode& node,
@@ -79,13 +95,6 @@ class GlobalStore : public StoreBase {
   LoadKeyKind LoadKey() const override { return LoadKeyKind::kInt; }
 
  private:
-  /// `where` may contain '?' markers bound from `params`; the generated
-  /// SQL text is stable across calls so repeated axis steps reuse one
-  /// cached plan.
-  Result<std::vector<StoredNode>> Select(const std::string& where,
-                                         Row params,
-                                         const std::string& order);
-  Result<StoredNode> SelectOne(const std::string& where, Row params);
   /// Shreds `node` assigning ordinals spaced by `step` starting after
   /// `*counter`; returns rows appended to `rows`.
   void ShredInto(const XmlNode& node, int64_t pord, int64_t depth,
@@ -115,11 +124,13 @@ class LocalStore : public StoreBase {
       const StoredNode& node) override;
   Result<StoredNode> Root() override;
   Result<std::vector<StoredNode>> Children(const StoredNode& node,
-                                           const NodeTest& test) override;
+                                           const NodeTest& test,
+                                           size_t limit = 0) override;
   Result<std::vector<StoredNode>> Descendants(const StoredNode& node,
                                               const NodeTest& test) override;
   Result<std::vector<StoredNode>> FollowingSiblings(
-      const StoredNode& node, const NodeTest& test) override;
+      const StoredNode& node, const NodeTest& test,
+      size_t limit = 0) override;
   Result<std::vector<StoredNode>> PrecedingSiblings(
       const StoredNode& node, const NodeTest& test) override;
   Result<std::vector<StoredNode>> Attributes(const StoredNode& node,
@@ -150,10 +161,6 @@ class LocalStore : public StoreBase {
   }
 
  private:
-  Result<std::vector<StoredNode>> Select(const std::string& where,
-                                         Row params,
-                                         const std::string& order);
-  Result<StoredNode> SelectOne(const std::string& where, Row params);
   Status BulkInsert(const std::vector<Row>& rows, UpdateStats* stats);
   /// Ordinal path from the root to `node` (ancestor sords), fetched by
   /// iterated parent lookups with memoization — the cost center of
@@ -184,11 +191,13 @@ class DeweyStore : public StoreBase {
       const StoredNode& node) override;
   Result<StoredNode> Root() override;
   Result<std::vector<StoredNode>> Children(const StoredNode& node,
-                                           const NodeTest& test) override;
+                                           const NodeTest& test,
+                                           size_t limit = 0) override;
   Result<std::vector<StoredNode>> Descendants(const StoredNode& node,
                                               const NodeTest& test) override;
   Result<std::vector<StoredNode>> FollowingSiblings(
-      const StoredNode& node, const NodeTest& test) override;
+      const StoredNode& node, const NodeTest& test,
+      size_t limit = 0) override;
   Result<std::vector<StoredNode>> PrecedingSiblings(
       const StoredNode& node, const NodeTest& test) override;
   Result<std::vector<StoredNode>> Attributes(const StoredNode& node,
@@ -214,10 +223,6 @@ class DeweyStore : public StoreBase {
   LoadKeyKind LoadKey() const override { return LoadKeyKind::kBlob; }
 
  private:
-  Result<std::vector<StoredNode>> Select(const std::string& where,
-                                         Row params,
-                                         const std::string& order);
-  Result<StoredNode> SelectOne(const std::string& where, Row params);
   void ShredInto(const XmlNode& node, const DeweyKey& key,
                  std::vector<Row>* rows);
   Status BulkInsert(const std::vector<Row>& rows, UpdateStats* stats);

@@ -130,16 +130,33 @@ Result<std::vector<StoredNode>> ApplyPredicates(
   return candidates;
 }
 
+/// How many candidates a step needs when its FIRST predicate is [k]: the
+/// k-th candidate is the only survivor, so the axis may stop after k rows
+/// and later predicates see the same list. A [k] after another predicate
+/// counts positions in the filtered list and is not pushed. 0 = all.
+size_t PositionalLimit(const XPathStep& step) {
+  if (step.predicates.empty()) return 0;
+  const XPathPredicate& first = step.predicates.front();
+  if (first.kind != XPathPredicate::Kind::kPosition ||
+      first.op != XPathCmp::kEq || first.position < 1) {
+    return 0;
+  }
+  return static_cast<size_t>(first.position);
+}
+
 Result<std::vector<StoredNode>> ExpandAxis(OrderedXmlStore* store,
                                            const StoredNode& context,
                                            const XPathStep& step) {
+  // Only the sibling-ordered axes push the limit into SQL; the other axes
+  // either return document order across levels or walk in reverse.
   switch (step.axis) {
     case XPathStep::Axis::kChild:
-      return store->Children(context, step.test);
+      return store->Children(context, step.test, PositionalLimit(step));
     case XPathStep::Axis::kDescendant:
       return store->Descendants(context, step.test);
     case XPathStep::Axis::kFollowingSibling:
-      return store->FollowingSiblings(context, step.test);
+      return store->FollowingSiblings(context, step.test,
+                                      PositionalLimit(step));
     case XPathStep::Axis::kPrecedingSibling:
       return store->PrecedingSiblings(context, step.test);
     case XPathStep::Axis::kAttribute:

@@ -808,26 +808,20 @@ Result<int64_t> Database::BulkLoadRows(const std::string& table,
   auto run = [&]() -> Result<int64_t> {
     TableInfo* t = GetTable(table);
     if (t == nullptr) return Status::NotFound("no such table: " + table);
-    auto load = [&]() -> Status {
-      if (t->heap()->row_count() != 0) {
-        // Bulk index construction needs empty trees; keep correctness on
-        // non-empty tables by degrading to the per-row path.
-        for (const Row& row : rows) {
-          OXML_RETURN_NOT_OK(CheckCurrentControl());
-          OXML_RETURN_NOT_OK(t->InsertRow(row, &stats_).status());
-        }
-        return Status::OK();
-      }
-      return t->BulkLoadRows(rows, load_pool_.get(), &stats_);
-    };
+    // Bulk index construction needs empty trees; a populated table is
+    // rejected before any transaction starts.
+    if (t->heap()->row_count() != 0) {
+      return Status::InvalidArgument("BulkLoadRows requires an empty table: " +
+                                     table);
+    }
     if (pool_->InTxn()) {
-      OXML_RETURN_NOT_OK(load());
+      OXML_RETURN_NOT_OK(t->BulkLoadRows(rows, load_pool_.get(), &stats_));
       return static_cast<int64_t>(rows.size());
     }
     // Auto-commit: the whole batch is one transaction, so the WAL receives
     // every dirtied page image followed by a single commit record.
     OXML_RETURN_NOT_OK(Begin());
-    Status st = load();
+    Status st = t->BulkLoadRows(rows, load_pool_.get(), &stats_);
     if (!st.ok()) {
       (void)Rollback();
       return st;

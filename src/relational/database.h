@@ -495,11 +495,12 @@ class Database {
   /// Direct row insertion (bypasses SQL, used by the bulk shredder).
   Result<Rid> Insert(const std::string& table, const Row& row);
 
-  /// Appends `rows` to `table` through the bulk path (tail-extended heap +
-  /// bottom-up index builds, see TableInfo::BulkLoadRows), auto-committed
-  /// unless a transaction is open. Falls back to per-row InsertRow when the
-  /// table is non-empty (bulk index construction needs empty trees).
-  /// Returns the number of rows loaded.
+  /// Loads `rows` into the empty `table` through the bulk path
+  /// (tail-extended heap + bottom-up index builds, see
+  /// TableInfo::BulkLoadRows), auto-committed unless a transaction is open.
+  /// A non-empty table is rejected with InvalidArgument and left unchanged
+  /// (bulk index construction needs empty trees). Returns the number of
+  /// rows loaded.
   Result<int64_t> BulkLoadRows(const std::string& table,
                                const std::vector<Row>& rows);
 

@@ -867,13 +867,19 @@ void SortOp::Describe(int indent, std::string* out) const {
 
 // -------------------------------------------------------------------- Limit
 
-LimitOp::LimitOp(OperatorPtr child, int64_t limit)
-    : child_(std::move(child)), limit_(limit) {
+LimitOp::LimitOp(OperatorPtr child, ExprPtr limit)
+    : child_(std::move(child)), limit_expr_(std::move(limit)) {
   schema_ = child_->schema();
   order_ = child_->output_order();
 }
 
 Status LimitOp::Open() {
+  OXML_ASSIGN_OR_RETURN(Value v, limit_expr_->Eval(Row{}));
+  if (v.type() != TypeId::kInt || v.AsInt() < 0) {
+    return Status::InvalidArgument(
+        "LIMIT needs a non-negative integer, got " + v.ToString());
+  }
+  limit_ = v.AsInt();
   produced_ = 0;
   return child_->Open();
 }
@@ -887,7 +893,7 @@ Result<bool> LimitOp::Next(Row* row) {
 }
 
 std::string LimitOp::Name() const {
-  return "Limit(" + std::to_string(limit_) + ")";
+  return "Limit(" + limit_expr_->ToString() + ")";
 }
 
 void LimitOp::Describe(int indent, std::string* out) const {

@@ -386,9 +386,14 @@ class SortOp : public Operator {
   size_t pos_ = 0;
 };
 
+/// Passes through at most `limit` rows and then stops pulling, so a limit
+/// over a sort-elided index scan reads only the rows it returns. `limit` is
+/// an integer literal or a '?' marker, evaluated at Open(): one cached plan
+/// serves every binding. A NULL, non-integer or negative value fails the
+/// statement with InvalidArgument.
 class LimitOp : public Operator {
  public:
-  LimitOp(OperatorPtr child, int64_t limit);
+  LimitOp(OperatorPtr child, ExprPtr limit);
   Status Open() override;
   Result<bool> Next(Row* row) override;
   void Close() override { child_->Close(); }
@@ -397,7 +402,8 @@ class LimitOp : public Operator {
 
  private:
   OperatorPtr child_;
-  int64_t limit_;
+  ExprPtr limit_expr_;
+  int64_t limit_ = 0;
   int64_t produced_ = 0;
 };
 

@@ -876,8 +876,8 @@ Result<OperatorPtr> PlanSelect(Database* db, SelectStmt* stmt) {
     }
   }
 
-  if (stmt->limit.has_value()) {
-    plan = std::make_unique<LimitOp>(std::move(plan), *stmt->limit);
+  if (stmt->limit != nullptr) {
+    plan = std::make_unique<LimitOp>(std::move(plan), std::move(stmt->limit));
   }
   return plan;
 }

@@ -147,10 +147,12 @@ class Parser {
       } while (MatchSymbol(","));
     }
     if (MatchKeyword("LIMIT")) {
-      if (Peek().kind != TokenKind::kIntLiteral) {
-        return Error("expected integer after LIMIT");
+      // A '?' marker here makes the row count a binding, so one cached
+      // plan serves every k of a positional probe.
+      if (Peek().kind != TokenKind::kIntLiteral && !PeekSymbol("?")) {
+        return Error("expected integer or '?' after LIMIT");
       }
-      stmt->limit = Advance().int_value;
+      OXML_ASSIGN_OR_RETURN(stmt->limit, ParsePrimary());
     }
     return StmtPtr(std::move(stmt));
   }

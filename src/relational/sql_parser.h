@@ -13,7 +13,7 @@ namespace oxml {
 /// Supported subset:
 ///
 ///   SELECT [DISTINCT] list FROM t [alias] [, ...] [WHERE e]
-///       [GROUP BY e, ...] [ORDER BY e [ASC|DESC], ...] [LIMIT n]
+///       [GROUP BY e, ...] [ORDER BY e [ASC|DESC], ...] [LIMIT n|?]
 ///   INSERT INTO t [(cols)] VALUES (...), (...)
 ///   UPDATE t SET c = e [, ...] [WHERE e]
 ///   DELETE FROM t [WHERE e]

@@ -543,7 +543,7 @@ TEST(AppendBatchTest, CachesTailPageAcrossBatch) {
   }
 }
 
-TEST(AppendBatchTest, BulkLoadFallsBackOnNonEmptyTable) {
+TEST(AppendBatchTest, BulkLoadRejectsNonEmptyTable) {
   auto db = Database::Open({});
   ASSERT_TRUE(db.ok()) << db.status();
   Schema schema({{"a", TypeId::kInt}});
@@ -551,14 +551,17 @@ TEST(AppendBatchTest, BulkLoadFallsBackOnNonEmptyTable) {
   ASSERT_TRUE((*db)->CreateIndex("t_a", "t", {"a"}, /*unique=*/true).ok());
   ASSERT_TRUE((*db)->Insert("t", Row{Value::Int(0)}).ok());
 
+  // The bulk path needs empty trees: a populated table is refused, not
+  // loaded row by row, and keeps exactly its one row.
   std::vector<Row> more;
   for (int64_t i = 1; i <= 5; ++i) more.push_back(Row{Value::Int(i)});
   auto n = (*db)->BulkLoadRows("t", more);
-  ASSERT_TRUE(n.ok()) << n.status();
-  EXPECT_EQ(*n, 5);
-  auto rs = (*db)->Query("SELECT COUNT(*) FROM t");
+  ASSERT_FALSE(n.ok());
+  EXPECT_TRUE(n.status().IsInvalidArgument()) << n.status();
+  auto rs = (*db)->Query("SELECT a FROM t ORDER BY a");
   ASSERT_TRUE(rs.ok());
-  EXPECT_EQ(rs->rows[0][0].AsInt(), 6);
+  ASSERT_EQ(rs->rows.size(), 1u);
+  EXPECT_EQ(rs->rows[0][0].AsInt(), 0);
 
   // Unique violation through the bulk path aborts and rolls back.
   auto db2 = Database::Open({});

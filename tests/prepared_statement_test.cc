@@ -272,6 +272,106 @@ TEST_F(PreparedStatementTest, NullBindingDegradesIndexScanNotCorrectness) {
 }
 
 // ---------------------------------------------------------------------------
+// LIMIT ?: the row count is a binding evaluated when the plan opens, so one
+// cached plan serves every k, and a limit over a sort-elided index scan
+// stops pulling after k rows.
+
+class LimitParamTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kRows = 100;
+
+  void SetUp() override {
+    auto db = Database::Open();
+    ASSERT_TRUE(db.ok()) << db.status();
+    db_ = std::move(db).value();
+    ASSERT_TRUE(db_->Execute("CREATE TABLE n (v INT)").ok());
+    ASSERT_TRUE(db_->Execute("CREATE INDEX n_v ON n (v)").ok());
+    auto ins = db_->Prepare("INSERT INTO n VALUES (?)");
+    ASSERT_TRUE(ins.ok()) << ins.status();
+    std::vector<Row> rows;
+    // Inserted in reverse so heap order differs from index order.
+    for (int64_t v = kRows; v >= 1; --v) rows.push_back(Row{Value::Int(v)});
+    ASSERT_TRUE(ins->ExecuteBatch(rows).ok());
+  }
+
+  static constexpr const char* kProbe =
+      "SELECT v FROM n WHERE v >= ? ORDER BY v LIMIT ?";
+
+  std::unique_ptr<Database> db_;
+};
+
+TEST_F(LimitParamTest, OneCachedPlanServesEveryK) {
+  db_->stats()->Reset();
+  for (int64_t k = 1; k <= kRows; ++k) {
+    auto rs = db_->QueryP(kProbe, {Value::Int(1), Value::Int(k)});
+    ASSERT_TRUE(rs.ok()) << rs.status();
+    ASSERT_EQ(rs->rows.size(), static_cast<size_t>(k));
+    EXPECT_EQ(rs->rows.back()[0].AsInt(), k);
+  }
+  EXPECT_EQ(db_->stats()->plan_cache_misses, 1u);
+  EXPECT_EQ(db_->stats()->plan_cache_hits, static_cast<uint64_t>(kRows - 1));
+}
+
+TEST_F(LimitParamTest, ZeroAndOversizedBindings) {
+  auto none = db_->QueryP(kProbe, {Value::Int(1), Value::Int(0)});
+  ASSERT_TRUE(none.ok()) << none.status();
+  EXPECT_TRUE(none->rows.empty());
+
+  auto all = db_->QueryP(kProbe, {Value::Int(1), Value::Int(kRows * 10)});
+  ASSERT_TRUE(all.ok()) << all.status();
+  EXPECT_EQ(all->rows.size(), static_cast<size_t>(kRows));
+
+  // A prepared handle rebinding the same text sees each new count.
+  auto ps = db_->Prepare(kProbe);
+  ASSERT_TRUE(ps.ok()) << ps.status();
+  ASSERT_TRUE(ps->BindAll({Value::Int(95), Value::Int(3)}).ok());
+  auto three = ps->Query();
+  ASSERT_TRUE(three.ok()) << three.status();
+  ASSERT_EQ(three->rows.size(), 3u);
+  EXPECT_EQ(three->rows[0][0].AsInt(), 95);
+  ASSERT_TRUE(ps->Bind(1, Value::Int(50)).ok());
+  auto rest = ps->Query();
+  ASSERT_TRUE(rest.ok()) << rest.status();
+  EXPECT_EQ(rest->rows.size(), 6u);
+}
+
+TEST_F(LimitParamTest, NullNegativeOrNonIntegerBindingIsInvalid) {
+  for (const Value& bad : {Value::Null(), Value::Int(-1), Value::Text("3"),
+                           Value::Double(2.0)}) {
+    auto rs = db_->QueryP(kProbe, {Value::Int(1), bad});
+    ASSERT_FALSE(rs.ok()) << bad.ToString();
+    EXPECT_TRUE(rs.status().IsInvalidArgument()) << rs.status();
+  }
+  // The failed executions left the cached plan usable.
+  auto rs = db_->QueryP(kProbe, {Value::Int(1), Value::Int(2)});
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  EXPECT_EQ(rs->rows.size(), 2u);
+}
+
+TEST_F(LimitParamTest, LimitOverSortElidedIndexScanStopsAfterK) {
+  for (int64_t k : {1, 7, 40}) {
+    uint64_t before = db_->stats()->rows_scanned;
+    auto rs = db_->QueryP(kProbe, {Value::Int(1), Value::Int(k)});
+    ASSERT_TRUE(rs.ok()) << rs.status();
+    ASSERT_EQ(rs->rows.size(), static_cast<size_t>(k));
+    EXPECT_EQ(db_->stats()->rows_scanned - before, static_cast<uint64_t>(k));
+  }
+}
+
+TEST_F(LimitParamTest, ExplainNamesTheMarker) {
+  auto plan = db_->Explain(kProbe);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_NE(plan->find("Limit(?2)"), std::string::npos) << *plan;
+  EXPECT_NE(plan->find("IndexScan(n.n_v dynamic)"), std::string::npos)
+      << *plan;
+  EXPECT_EQ(plan->find("Sort("), std::string::npos) << *plan;
+
+  auto literal = db_->Explain("SELECT v FROM n ORDER BY v LIMIT 5");
+  ASSERT_TRUE(literal.ok()) << literal.status();
+  EXPECT_NE(literal->find("Limit(5)"), std::string::npos) << *literal;
+}
+
+// ---------------------------------------------------------------------------
 // Differential: the ordered-XML query workload (QR1..QR8 from the benchmark
 // suite) must return identical results through the prepared/cached path and
 // through a cache-disabled database where every statement is parsed fresh.

@@ -80,8 +80,8 @@ TEST(SqlParserTest, SelectClauses) {
   ASSERT_EQ(sel->order_by.size(), 2u);
   EXPECT_TRUE(sel->order_by[0].desc);
   EXPECT_FALSE(sel->order_by[1].desc);
-  ASSERT_TRUE(sel->limit.has_value());
-  EXPECT_EQ(*sel->limit, 7);
+  ASSERT_NE(sel->limit, nullptr);
+  EXPECT_EQ(sel->limit->ToString(), "7");
 }
 
 TEST(SqlParserTest, OperatorPrecedence) {
