@@ -54,57 +54,73 @@ bool CoerceForColumn(TypeId column_type, Value* v) {
   return false;
 }
 
+ResolvedIndexBounds EncodeIndexRange(const std::vector<Value>& eq,
+                                     const Value* lower, bool lower_inclusive,
+                                     const Value* upper,
+                                     bool upper_inclusive) {
+  ResolvedIndexBounds out;
+  std::string prefix = EncodeKey(eq);
+  if (lower != nullptr) {
+    std::string k = prefix;
+    EncodeKeyValue(*lower, &k);
+    out.lower = lower_inclusive ? k : KeySuccessor(k);
+  } else if (upper != nullptr) {
+    // Skip the NULL keys of the range column (tag 0x00 sorts first).
+    std::string k = prefix;
+    EncodeKeyValue(Value::Null(), &k);
+    out.lower = KeySuccessor(k);
+  } else if (!eq.empty()) {
+    out.lower = prefix;
+  }
+  if (upper != nullptr) {
+    std::string k = prefix;
+    EncodeKeyValue(*upper, &k);
+    out.upper = upper_inclusive ? KeySuccessor(k) : k;
+  } else if (!eq.empty()) {
+    out.upper = KeySuccessor(prefix);
+  }
+  return out;
+}
+
 Result<ResolvedIndexBounds> ResolveIndexBounds(const DynamicIndexBounds& b) {
   static const Row kEmptyRow;
-  ResolvedIndexBounds out;
-  auto eval = [&](const DynamicIndexBounds::Term& term) -> Result<Value> {
-    OXML_ASSIGN_OR_RETURN(Value v, term.expr->Eval(kEmptyRow));
-    if (v.is_null()) return v;
-    if (!CoerceForColumn(term.column_type, &v)) {
+  bool coerced = false;
+  // Evaluates every term; false when one is NULL.
+  auto eval = [&](const DynamicIndexBounds::Term& term,
+                  Value* v) -> Result<bool> {
+    OXML_ASSIGN_OR_RETURN(*v, term.expr->Eval(kEmptyRow));
+    if (v->is_null()) return false;
+    if (v->type() == term.column_type) return true;
+    if (!CoerceForColumn(term.column_type, v)) {
       return Status::InvalidArgument(
-          "bound parameter of type " + std::string(TypeIdToString(v.type())) +
+          "bound parameter of type " + std::string(TypeIdToString(v->type())) +
           " cannot probe a " + TypeIdToString(term.column_type) +
           " index column");
     }
-    return v;
+    coerced = true;
+    return true;
   };
 
-  std::vector<Value> eq_values;
-  eq_values.reserve(b.eq.size());
-  for (const auto& term : b.eq) {
-    OXML_ASSIGN_OR_RETURN(Value v, eval(term));
-    if (v.is_null()) {
-      out.usable = false;
-      return out;
-    }
-    eq_values.push_back(std::move(v));
+  ResolvedIndexBounds unusable;
+  unusable.usable = false;
+  std::vector<Value> eq_values(b.eq.size());
+  for (size_t i = 0; i < b.eq.size(); ++i) {
+    OXML_ASSIGN_OR_RETURN(bool ok, eval(b.eq[i], &eq_values[i]));
+    if (!ok) return unusable;
   }
-  std::string prefix = EncodeKey(eq_values);
-
+  Value lower, upper;
   if (b.lower.has_value()) {
-    OXML_ASSIGN_OR_RETURN(Value v, eval(*b.lower));
-    if (v.is_null()) {
-      out.usable = false;
-      return out;
-    }
-    std::string k = prefix;
-    EncodeKeyValue(v, &k);
-    out.lower = b.lower_inclusive ? k : KeySuccessor(k);
-  } else if (!eq_values.empty()) {
-    out.lower = prefix;
+    OXML_ASSIGN_OR_RETURN(bool ok, eval(*b.lower, &lower));
+    if (!ok) return unusable;
   }
   if (b.upper.has_value()) {
-    OXML_ASSIGN_OR_RETURN(Value v, eval(*b.upper));
-    if (v.is_null()) {
-      out.usable = false;
-      return out;
-    }
-    std::string k = prefix;
-    EncodeKeyValue(v, &k);
-    out.upper = b.upper_inclusive ? KeySuccessor(k) : k;
-  } else if (!eq_values.empty()) {
-    out.upper = KeySuccessor(prefix);
+    OXML_ASSIGN_OR_RETURN(bool ok, eval(*b.upper, &upper));
+    if (!ok) return unusable;
   }
+  ResolvedIndexBounds out = EncodeIndexRange(
+      eq_values, b.lower.has_value() ? &lower : nullptr, b.lower_inclusive,
+      b.upper.has_value() ? &upper : nullptr, b.upper_inclusive);
+  out.coerced = coerced;
   return out;
 }
 
@@ -207,6 +223,30 @@ Result<bool> IndexScanOp::Next(Row* row) {
   it_.Next();
   if (stats_ != nullptr) ++stats_->rows_scanned;
   return true;
+}
+
+Result<std::optional<int64_t>> IndexScanOp::CountRange() {
+  if (dynamic_.has_value()) {
+    OXML_ASSIGN_OR_RETURN(ResolvedIndexBounds bounds,
+                          ResolveIndexBounds(*dynamic_));
+    if (!bounds.usable) return std::optional<int64_t>(0);
+    if (bounds.coerced) return std::optional<int64_t>();
+    lower_ = std::move(bounds.lower);
+    upper_ = std::move(bounds.upper);
+  }
+  if (stats_ != nullptr) ++stats_->index_probes;
+  // The same cursor as Open(), so an MVCC snapshot sees the same entries.
+  IndexCursor it =
+      lower_.has_value() ? index_->ScanFrom(*lower_) : index_->ScanBegin();
+  int64_t n = 0;
+  while (true) {
+    OXML_RETURN_NOT_OK(CheckCurrentControl());
+    if (!it.valid() || (upper_.has_value() && it.key() >= *upper_)) break;
+    ++n;
+    it.Next();
+  }
+  if (stats_ != nullptr) stats_->rows_scanned += static_cast<uint64_t>(n);
+  return std::optional<int64_t>(n);
 }
 
 std::string IndexScanOp::Name() const {
@@ -957,18 +997,29 @@ void DistinctOp::Describe(int indent, std::string* out) const {
 
 AggregateOp::AggregateOp(OperatorPtr child, std::vector<ExprPtr> group_by,
                          std::vector<AggregateSpec> aggregates,
-                         Schema out_schema)
+                         Schema out_schema, IndexScanOp* count_source)
     : child_(std::move(child)),
       group_by_(std::move(group_by)),
-      aggregates_(std::move(aggregates)) {
+      aggregates_(std::move(aggregates)),
+      count_source_(count_source) {
   schema_ = std::move(out_schema);
 }
 
 Status AggregateOp::Open() {
-  OXML_RETURN_NOT_OK(child_->Open());
   groups_.clear();
   group_index_.clear();
   pos_ = 0;
+  if (count_source_ != nullptr) {
+    OXML_ASSIGN_OR_RETURN(std::optional<int64_t> n,
+                          count_source_->CountRange());
+    if (n.has_value()) {
+      groups_.push_back(GroupState{
+          Row{}, std::vector<Value>(aggregates_.size(), Value::Null()),
+          std::vector<int64_t>(aggregates_.size(), *n)});
+      return Status::OK();
+    }
+  }
+  OXML_RETURN_NOT_OK(child_->Open());
 
   Row row;
   while (true) {
@@ -1089,8 +1140,12 @@ void AggregateOp::Close() {
 }
 
 std::string AggregateOp::Name() const {
+  std::string index_only =
+      count_source_ != nullptr
+          ? ", index-only count on " + count_source_->index().name
+          : "";
   return "Aggregate(groups=" + std::to_string(group_by_.size()) +
-         ", aggs=" + std::to_string(aggregates_.size()) + ")";
+         ", aggs=" + std::to_string(aggregates_.size()) + index_only + ")";
 }
 
 void AggregateOp::Describe(int indent, std::string* out) const {

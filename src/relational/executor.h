@@ -84,11 +84,25 @@ struct DynamicIndexBounds {
 /// Encoded bounds produced from a DynamicIndexBounds at execution time.
 /// `usable == false` means a term evaluated to NULL: the scan falls back to
 /// an unbounded range and the (always retained) residual filter decides.
+/// `coerced` means some term's value had another type than its column and
+/// was coerced to it; the range may then disagree with the predicate (under
+/// Value::Compare a BLOB never equals a TEXT), so only the residual filter
+/// gives the exact answer.
 struct ResolvedIndexBounds {
   std::optional<std::string> lower;  // inclusive
   std::optional<std::string> upper;  // exclusive
   bool usable = true;
+  bool coerced = false;
 };
+
+/// Encodes the key range of an equality prefix `eq` plus at most one bound
+/// each way on the next index column (null pointer = no bound). Values must
+/// be non-NULL and of their column's type. A range bounded only from above
+/// starts past the column's NULL keys: they sort first and satisfy no
+/// comparison.
+ResolvedIndexBounds EncodeIndexRange(const std::vector<Value>& eq,
+                                     const Value* lower, bool lower_inclusive,
+                                     const Value* upper, bool upper_inclusive);
 
 /// Evaluates the bound terms with the current parameter bindings. Fails with
 /// InvalidArgument when a bound value cannot be losslessly coerced to its
@@ -134,6 +148,16 @@ class IndexScanOp : public Operator {
   Status Open() override;
   Result<bool> Next(Row* row) override;
   std::string Name() const override;
+
+  /// Counts the index entries in the scan's range without fetching heap
+  /// rows: the answer of a COUNT(*) whose WHERE clause the bounds encode
+  /// exactly. Used instead of Open()/Next(). A NULL binding counts 0
+  /// without scanning (`col <op> NULL` never matches). Returns nullopt when
+  /// a binding was coerced to its column type; the caller must then count
+  /// rows through the residual filter.
+  Result<std::optional<int64_t>> CountRange();
+
+  const TableIndex& index() const { return *index_; }
 
  private:
   TableInfo* table_;
@@ -430,10 +454,16 @@ struct AggregateSpec {
 
 /// Hash aggregation. Output schema: group-by columns first (in order),
 /// then one column per aggregate.
+///
+/// `count_source`, when set, is an index scan inside `child` whose bounds
+/// encode the child's whole predicate, and every aggregate is a COUNT(*)
+/// with no GROUP BY. Open() then asks it for the range size instead of
+/// pulling rows, and falls back to the row loop when it declines.
 class AggregateOp : public Operator {
  public:
   AggregateOp(OperatorPtr child, std::vector<ExprPtr> group_by,
-              std::vector<AggregateSpec> aggregates, Schema out_schema);
+              std::vector<AggregateSpec> aggregates, Schema out_schema,
+              IndexScanOp* count_source = nullptr);
   Status Open() override;
   Result<bool> Next(Row* row) override;
   void Close() override;
@@ -450,6 +480,7 @@ class AggregateOp : public Operator {
   OperatorPtr child_;
   std::vector<ExprPtr> group_by_;
   std::vector<AggregateSpec> aggregates_;
+  IndexScanOp* count_source_;  // borrowed from child_'s subtree
   std::vector<GroupState> groups_;
   std::unordered_map<size_t, std::vector<size_t>> group_index_;
   size_t pos_ = 0;

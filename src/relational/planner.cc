@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/relational/database.h"
-#include "src/relational/key_codec.h"
 #include "src/relational/parallel_ops.h"
 #include "src/relational/thread_pool.h"
 
@@ -127,7 +126,10 @@ DynamicIndexBounds::Term MakeBoundTerm(const Sarg& s, TypeId column_type) {
     const auto* p = static_cast<const ParamExpr*>(s.value_expr);
     term.expr = std::make_unique<ParamExpr>(p->buffer(), p->index());
   } else {
-    term.expr = std::make_unique<LiteralExpr>(s.value);
+    // The literal as written, not as coerced: ResolveIndexBounds then
+    // reports the coercion, as it does for a parameter of another type.
+    term.expr = std::make_unique<LiteralExpr>(
+        static_cast<const LiteralExpr*>(s.value_expr)->value());
   }
   return term;
 }
@@ -176,15 +178,17 @@ AccessPath ChooseAccessPath(const TableInfo& table,
     }
     if (score <= best_score) continue;
 
-    bool any_param = false;
-    for (const Sarg* s : eq_sargs) any_param |= s->is_param;
-    if (range_lower != nullptr) any_param |= range_lower->is_param;
-    if (range_upper != nullptr) any_param |= range_upper->is_param;
+    std::vector<const Sarg*> bound = eq_sargs;
+    if (range_lower != nullptr) bound.push_back(range_lower);
+    if (range_upper != nullptr) bound.push_back(range_upper);
+    bool any_param = std::any_of(bound.begin(), bound.end(),
+                                 [](const Sarg* s) { return s->is_param; });
 
     AccessPath path;
     path.index = index.get();
     path.consumed.assign(conjuncts.size(), false);
     path.eq_prefix = eq_sargs.size();
+    path.bound_conjuncts = bound.size();
 
     if (any_param) {
       // Defer bound encoding to execution time; leave `consumed` all-false
@@ -208,27 +212,15 @@ AccessPath ChooseAccessPath(const TableInfo& table,
     } else {
       // All-literal bounds: encode eagerly.
       std::vector<Value> eq_prefix;
-      for (const Sarg* s : eq_sargs) {
-        eq_prefix.push_back(s->value);
-        path.consumed[s->conjunct_index] = true;
-      }
-      std::string prefix = EncodeKey(eq_prefix);
-      if (range_lower != nullptr) {
-        std::string k = prefix;
-        EncodeKeyValue(range_lower->value, &k);
-        path.lower = range_lower->op == BinaryOp::kGe ? k : KeySuccessor(k);
-        path.consumed[range_lower->conjunct_index] = true;
-      } else if (!eq_prefix.empty()) {
-        path.lower = prefix;
-      }
-      if (range_upper != nullptr) {
-        std::string k = prefix;
-        EncodeKeyValue(range_upper->value, &k);
-        path.upper = range_upper->op == BinaryOp::kLt ? k : KeySuccessor(k);
-        path.consumed[range_upper->conjunct_index] = true;
-      } else if (!eq_prefix.empty()) {
-        path.upper = KeySuccessor(prefix);
-      }
+      for (const Sarg* s : eq_sargs) eq_prefix.push_back(s->value);
+      for (const Sarg* s : bound) path.consumed[s->conjunct_index] = true;
+      ResolvedIndexBounds range = EncodeIndexRange(
+          eq_prefix, range_lower != nullptr ? &range_lower->value : nullptr,
+          range_lower != nullptr && range_lower->op == BinaryOp::kGe,
+          range_upper != nullptr ? &range_upper->value : nullptr,
+          range_upper != nullptr && range_upper->op == BinaryOp::kLe);
+      path.lower = std::move(range.lower);
+      path.upper = std::move(range.upper);
     }
 
     best = std::move(path);
@@ -329,15 +321,23 @@ bool WantParallelScan(Database* db, const TableInfo& table) {
 /// Plans the access to one base table given the conjuncts that reference
 /// only this table (already bound to `qualified`). Consumed conjuncts are
 /// dropped; the rest become a Filter on top of the scan.
+///
+/// With a non-null `count_source`, the caller counts rows and nothing else.
+/// When the index bounds encode every conjunct, the scan is a serial
+/// IndexScanOp (whose CountRange() walks keys only) and is returned there;
+/// otherwise it is set to null.
 Result<OperatorPtr> PlanTableAccess(Database* db, TableInfo* table,
                                     Schema qualified,
-                                    std::vector<ExprPtr> conjuncts) {
+                                    std::vector<ExprPtr> conjuncts,
+                                    IndexScanOp** count_source = nullptr) {
   ExecStats* stats = db->stats();
   std::vector<Expr*> raw;
   raw.reserve(conjuncts.size());
   for (auto& c : conjuncts) raw.push_back(c.get());
   AccessPath path = ChooseAccessPath(*table, raw);
-  bool parallel = WantParallelScan(db, *table);
+  bool index_only_count = count_source != nullptr && path.index != nullptr &&
+                          path.bound_conjuncts == conjuncts.size();
+  bool parallel = !index_only_count && WantParallelScan(db, *table);
 
   OperatorPtr scan;
   if (path.index != nullptr && path.dynamic.has_value()) {
@@ -359,6 +359,10 @@ Result<OperatorPtr> PlanTableAccess(Database* db, TableInfo* table,
                                             db->thread_pool(), stats);
   } else {
     scan = std::make_unique<SeqScanOp>(table, std::move(qualified), stats);
+  }
+  if (count_source != nullptr) {
+    *count_source =
+        index_only_count ? static_cast<IndexScanOp*>(scan.get()) : nullptr;
   }
 
   std::vector<ExprPtr> residual;
@@ -477,6 +481,25 @@ bool MaybeElideSort(Database* db, const Operator& plan,
   return true;
 }
 
+/// True for `SELECT COUNT(*)[, COUNT(*) ...] FROM <one table>` with no
+/// GROUP BY: the answer is the number of rows the WHERE clause selects.
+bool IsCountStarOnly(const SelectStmt& stmt) {
+  if (stmt.from.size() != 1 || !stmt.group_by.empty() || stmt.items.empty()) {
+    return false;
+  }
+  for (const SelectItem& item : stmt.items) {
+    if (item.expr == nullptr || item.expr->kind() != Expr::Kind::kFunction) {
+      return false;
+    }
+    const auto* fn = static_cast<const FunctionExpr*>(item.expr.get());
+    if (fn->aggregate() != AggregateKind::kCount ||
+        (!fn->args().empty() && fn->args()[0]->kind() != Expr::Kind::kStar)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Wraps `op` in a sort on a single ascending column unless its reported
 /// order already starts with that column (used to feed merge-based joins).
 OperatorPtr EnsureSortedOn(OperatorPtr op, const std::string& column_name,
@@ -520,10 +543,13 @@ Result<OperatorPtr> PlanSelect(Database* db, SelectStmt* stmt) {
   };
 
   OperatorPtr plan;
+  IndexScanOp* count_source = nullptr;
   {
     std::vector<ExprPtr> mine = claim_for(qualified[0]);
     OXML_ASSIGN_OR_RETURN(
-        plan, PlanTableAccess(db, tables[0], qualified[0], std::move(mine)));
+        plan, PlanTableAccess(db, tables[0], qualified[0], std::move(mine),
+                              IsCountStarOnly(*stmt) ? &count_source
+                                                     : nullptr));
   }
   Schema combined = qualified[0];
 
@@ -841,10 +867,9 @@ Result<OperatorPtr> PlanSelect(Database* db, SelectStmt* stmt) {
     for (size_t a = 0; a < specs.size(); ++a) {
       agg_cols.push_back({agg_names[a], TypeId::kDouble});
     }
-    plan = std::make_unique<AggregateOp>(std::move(plan),
-                                         std::move(group_exprs),
-                                         std::move(specs),
-                                         Schema(std::move(agg_cols)));
+    plan = std::make_unique<AggregateOp>(
+        std::move(plan), std::move(group_exprs), std::move(specs),
+        Schema(std::move(agg_cols)), count_source);
 
     // Final projection.
     std::vector<ExprPtr> exprs;

@@ -42,6 +42,11 @@ struct AccessPath {
   /// Leading index columns pinned to one value by the bounds; the scan's
   /// output order is the index-column suffix past this prefix.
   size_t eq_prefix = 0;
+  /// How many candidate conjuncts the bounds encode, static or dynamic.
+  /// When it equals the candidate count, the index range holds exactly the
+  /// rows the conjunction selects (for dynamic bounds: while every binding
+  /// has its column's type, see ResolvedIndexBounds::coerced).
+  size_t bound_conjuncts = 0;
 };
 
 /// Rule-based access-path selection: picks the index that consumes the
