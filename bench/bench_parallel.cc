@@ -94,8 +94,9 @@ void BM_InterQueryReaders(benchmark::State& state) {
 // baseline). QR1 drives a full-tag scan, QR5 a descendant step (the step
 // evaluator's parameterized probes), heap_count a bare heap scan, and
 // structural a one-shot translated descendant query — the shape that plans
-// ParallelStructuralJoinOp (Global/Dewey only; Local cannot express a
-// descendant step as one SQL statement).
+// a StructuralJoinOp, inline at 0 threads and on the pool otherwise
+// (Global/Dewey only; Local cannot express a descendant step as one SQL
+// statement).
 struct IntraQuery {
   const char* id;
   const char* xpath;     // null = run `sql` through Database::Query instead

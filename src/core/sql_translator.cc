@@ -150,7 +150,8 @@ class Translator {
   /// The containment pairs emitted here (Global:
   /// `a.ord > p.ord AND a.ord <= p.eord`; Dewey:
   /// `a.path > p.path AND a.path < SUCC(p.path)`) are the canonical shapes
-  /// the planner's interval-join detector lowers to StructuralJoinOp —
+  /// the planner's interval-join detector lowers to StructuralJoinOp
+  /// (inline, or on the pool under enable_parallel_execution) —
   /// keep them as two top-level AND conjuncts comparing a bare column of
   /// one alias against expressions over the other. Extra conjuncts (e.g.
   /// the Dewey child-axis depth equality) are fine: they survive as a

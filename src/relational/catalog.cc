@@ -1,6 +1,7 @@
 #include "src/relational/catalog.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "src/relational/thread_pool.h"
 
@@ -64,15 +65,26 @@ Result<Rid> TableInfo::InsertRow(const Row& row, ExecStats* stats) {
         std::to_string(row.size()) + ", want " +
         std::to_string(schema_.size()));
   }
+  // Store each value with its column's type, as SQL INSERT does: an index
+  // key encodes the value's type, so an INT in a DOUBLE column would sort
+  // apart from every DOUBLE key. The row is copied only when needed.
+  std::optional<Row> coerced;
+  for (size_t i = 0; i < row.size(); ++i) {
+    TypeId type = schema_.column(i).type;
+    if (row[i].is_null() || row[i].type() == type) continue;
+    if (!coerced.has_value()) coerced = row;
+    OXML_ASSIGN_OR_RETURN((*coerced)[i], CoerceTo(row[i], type));
+  }
+  const Row& stored = coerced.has_value() ? *coerced : row;
   for (const auto& idx : indexes_) {
-    if (idx->unique && idx->tree.Contains(idx->KeyFor(row))) {
+    if (idx->unique && idx->tree.Contains(idx->KeyFor(stored))) {
       return Status::Aborted("unique constraint violated on index " +
                              idx->name);
     }
   }
-  OXML_ASSIGN_OR_RETURN(Rid rid, heap_->Insert(row));
+  OXML_ASSIGN_OR_RETURN(Rid rid, heap_->Insert(stored));
   for (const auto& idx : indexes_) {
-    idx->Insert(idx->KeyFor(row), rid);
+    idx->Insert(idx->KeyFor(stored), rid);
   }
   if (stats != nullptr) ++stats->rows_inserted;
   return rid;

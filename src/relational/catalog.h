@@ -95,7 +95,8 @@ struct ExecStats {
   // Intra-query parallelism (see DatabaseOptions::enable_parallel_execution):
   // `threads_used` is the high-water worker count any parallel operator
   // fanned out to, `morsels` counts scan/join partitions executed, and
-  // `parallel_joins` counts ParallelStructuralJoinOp::Open() calls.
+  // `parallel_joins` counts StructuralJoinOp::Open() calls that ran on the
+  // pool.
   StatCounter threads_used = 0;
   StatCounter morsels = 0;
   StatCounter parallel_joins = 0;
@@ -341,6 +342,8 @@ class TableInfo {
   Status RebuildIndexes();
 
   /// Inserts a row, maintaining all indexes; enforces unique constraints.
+  /// Values are first coerced to their column types (CoerceTo); a value
+  /// of an incompatible kind fails with InvalidArgument, writing nothing.
   Result<Rid> InsertRow(const Row& row, ExecStats* stats);
 
   /// Appends `rows` through the bulk path: one HeapTable::AppendBatch for

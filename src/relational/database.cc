@@ -1316,38 +1316,6 @@ Result<int64_t> PreparedStatement::ExecuteBatch(
   return total;
 }
 
-namespace {
-
-/// Coerces a literal value to a column type (INT -> DOUBLE promotion and
-/// TEXT/BLOB interchange); errors on incompatible kinds.
-Result<Value> CoerceTo(const Value& v, TypeId type) {
-  if (v.is_null()) return v;
-  if (v.type() == type) return v;
-  switch (type) {
-    case TypeId::kDouble:
-      if (v.type() == TypeId::kInt) return Value::Double(v.AsDouble());
-      break;
-    case TypeId::kInt:
-      if (v.type() == TypeId::kDouble) {
-        return Value::Int(static_cast<int64_t>(v.AsDouble()));
-      }
-      break;
-    case TypeId::kText:
-      if (v.type() == TypeId::kBlob) return Value::Text(v.AsString());
-      break;
-    case TypeId::kBlob:
-      if (v.type() == TypeId::kText) return Value::Blob(v.AsString());
-      break;
-    default:
-      break;
-  }
-  return Status::InvalidArgument(std::string("cannot coerce ") +
-                                 TypeIdToString(v.type()) + " to " +
-                                 TypeIdToString(type));
-}
-
-}  // namespace
-
 Result<int64_t> Database::ExecuteInsert(InsertStmt* stmt) {
   TableInfo* t = GetTable(stmt->table);
   if (t == nullptr) return Status::NotFound("no such table: " + stmt->table);
@@ -1378,11 +1346,9 @@ Result<int64_t> Database::ExecuteInsert(InsertStmt* stmt) {
     }
     Row row(schema.size(), Value::Null());
     for (size_t i = 0; i < exprs.size(); ++i) {
-      OXML_ASSIGN_OR_RETURN(Value v, exprs[i]->Eval(empty));
-      OXML_ASSIGN_OR_RETURN(
-          row[positions[i]],
-          CoerceTo(v, schema.column(positions[i]).type));
+      OXML_ASSIGN_OR_RETURN(row[positions[i]], exprs[i]->Eval(empty));
     }
+    // InsertRow coerces each value to its column type.
     OXML_RETURN_NOT_OK(t->InsertRow(row, &stats_).status());
     ++inserted;
   }

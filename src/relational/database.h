@@ -47,8 +47,9 @@ struct DatabaseOptions {
   size_t plan_cache_capacity = 128;
   /// Lower interval-containment conjunct pairs (the ancestor–descendant
   /// patterns emitted by the XPath translator) to the stack-based
-  /// StructuralJoinOp. Off = generic nested-loop + filter (the pre-PR2
-  /// behavior), kept as a toggle for differential testing.
+  /// StructuralJoinOp, which runs inline or, under
+  /// enable_parallel_execution, on the thread pool. Off = generic
+  /// nested-loop + filter, kept as the reference for differential testing.
   bool enable_structural_join = true;
   /// Use MergeJoinOp for equi-joins whose inputs are already sorted on the
   /// join key (as reported by the operators' order properties).
@@ -58,9 +59,9 @@ struct DatabaseOptions {
 
   // ------------------------------------------------------------- parallelism
 
-  /// Let the planner emit parallel operators (ParallelScanOp and the
-  /// parallel structural-join path) that fan single statements out over the
-  /// database's thread pool. Off by default: intra-query parallelism only
+  /// Let the planner fan single statements out over the database's thread
+  /// pool: ParallelScanOp for large scans, and StructuralJoinOp runs its
+  /// independent interval groups on the pool instead of inline. Off by default: intra-query parallelism only
   /// pays off on large inputs, and serial plans keep EXPLAIN output and
   /// operator-level tests deterministic. Inter-query concurrency — many
   /// threads calling Query() at once — is always available and does not
@@ -493,6 +494,8 @@ class Database {
   TableInfo* GetTable(const std::string& name) const;
 
   /// Direct row insertion (bypasses SQL, used by the bulk shredder).
+  /// Values are coerced to their column types as SQL INSERT does; an
+  /// incompatible kind fails with InvalidArgument and writes nothing.
   Result<Rid> Insert(const std::string& table, const Row& row);
 
   /// Loads `rows` into the empty `table` through the bulk path

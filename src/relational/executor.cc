@@ -5,6 +5,7 @@
 
 #include "src/relational/key_codec.h"
 #include "src/relational/query_control.h"
+#include "src/relational/thread_pool.h"
 
 namespace oxml {
 
@@ -85,12 +86,17 @@ ResolvedIndexBounds EncodeIndexRange(const std::vector<Value>& eq,
 Result<ResolvedIndexBounds> ResolveIndexBounds(const DynamicIndexBounds& b) {
   static const Row kEmptyRow;
   bool coerced = false;
-  // Evaluates every term; false when one is NULL.
-  auto eval = [&](const DynamicIndexBounds::Term& term,
-                  Value* v) -> Result<bool> {
+  // Evaluates every term; false when one is NULL. TEXT and BLOB compare by
+  // type rank, not bytes, so a range bound of the other kind selects all
+  // rows or none: `*narrows` is then cleared and the bound is left to the
+  // residual filter. (An equality of the other kind selects none, which
+  // any range plus the residual filter reproduces.)
+  auto eval = [&](const DynamicIndexBounds::Term& term, Value* v,
+                  bool* narrows) -> Result<bool> {
     OXML_ASSIGN_OR_RETURN(*v, term.expr->Eval(kEmptyRow));
     if (v->is_null()) return false;
     if (v->type() == term.column_type) return true;
+    if (narrows != nullptr) *narrows = term.column_type == TypeId::kDouble;
     if (!CoerceForColumn(term.column_type, v)) {
       return Status::InvalidArgument(
           "bound parameter of type " + std::string(TypeIdToString(v->type())) +
@@ -105,21 +111,23 @@ Result<ResolvedIndexBounds> ResolveIndexBounds(const DynamicIndexBounds& b) {
   unusable.usable = false;
   std::vector<Value> eq_values(b.eq.size());
   for (size_t i = 0; i < b.eq.size(); ++i) {
-    OXML_ASSIGN_OR_RETURN(bool ok, eval(b.eq[i], &eq_values[i]));
+    OXML_ASSIGN_OR_RETURN(bool ok, eval(b.eq[i], &eq_values[i], nullptr));
     if (!ok) return unusable;
   }
   Value lower, upper;
+  bool lower_narrows = b.lower.has_value();
+  bool upper_narrows = b.upper.has_value();
   if (b.lower.has_value()) {
-    OXML_ASSIGN_OR_RETURN(bool ok, eval(*b.lower, &lower));
+    OXML_ASSIGN_OR_RETURN(bool ok, eval(*b.lower, &lower, &lower_narrows));
     if (!ok) return unusable;
   }
   if (b.upper.has_value()) {
-    OXML_ASSIGN_OR_RETURN(bool ok, eval(*b.upper, &upper));
+    OXML_ASSIGN_OR_RETURN(bool ok, eval(*b.upper, &upper, &upper_narrows));
     if (!ok) return unusable;
   }
   ResolvedIndexBounds out = EncodeIndexRange(
-      eq_values, b.lower.has_value() ? &lower : nullptr, b.lower_inclusive,
-      b.upper.has_value() ? &upper : nullptr, b.upper_inclusive);
+      eq_values, lower_narrows ? &lower : nullptr, b.lower_inclusive,
+      upper_narrows ? &upper : nullptr, b.upper_inclusive);
   out.coerced = coerced;
   return out;
 }
@@ -684,7 +692,7 @@ StructuralJoinOp::StructuralJoinOp(OperatorPtr ancestors,
                                    OperatorPtr descendants, ExprPtr anc_start,
                                    ExprPtr anc_end, ExprPtr desc_start,
                                    bool lower_strict, bool upper_inclusive,
-                                   ExecStats* stats)
+                                   ThreadPool* pool, ExecStats* stats)
     : anc_(std::move(ancestors)),
       desc_(std::move(descendants)),
       anc_start_(std::move(anc_start)),
@@ -692,6 +700,7 @@ StructuralJoinOp::StructuralJoinOp(OperatorPtr ancestors,
       desc_start_(std::move(desc_start)),
       lower_strict_(lower_strict),
       upper_inclusive_(upper_inclusive),
+      pool_(pool),
       stats_(stats) {
   schema_ = anc_->schema();
   schema_.Append(desc_->schema());
@@ -706,8 +715,7 @@ StructuralJoinOp::StructuralJoinOp(OperatorPtr ancestors,
   }
 }
 
-bool StructuralJoinOp::Contains(const StackEntry& e,
-                                const Value& start) const {
+bool StructuralJoinOp::Contains(const Entry& e, const Value& start) const {
   if (e.start.is_null() || e.end.is_null() || start.is_null()) return false;
   int lo = start.Compare(e.start);
   if (lower_strict_ ? lo <= 0 : lo < 0) return false;
@@ -715,92 +723,162 @@ bool StructuralJoinOp::Contains(const StackEntry& e,
   return upper_inclusive_ ? hi <= 0 : hi < 0;
 }
 
-Status StructuralJoinOp::AdvanceAncestors(const Value& start) {
-  while (!anc_done_ || have_pending_) {
-    if (!have_pending_) {
-      OXML_ASSIGN_OR_RETURN(bool has, anc_->Next(&pending_anc_));
-      if (!has) {
-        anc_done_ = true;
-        return Status::OK();
-      }
-      OXML_ASSIGN_OR_RETURN(pending_start_, anc_start_->Eval(pending_anc_));
-      have_pending_ = true;
+Status StructuralJoinOp::Drain(Operator* input, const Expr& start,
+                               const Expr* end, BudgetCharger* budget,
+                               std::vector<Entry>* out) {
+  OXML_RETURN_NOT_OK(input->Open());
+  Row row;
+  while (true) {
+    OXML_ASSIGN_OR_RETURN(bool has, input->Next(&row));
+    if (!has) return Status::OK();
+    Entry e;
+    OXML_ASSIGN_OR_RETURN(e.start, start.Eval(row));
+    if (e.start.is_null()) continue;  // a NULL start matches nothing
+    if (end != nullptr) {
+      OXML_ASSIGN_OR_RETURN(e.end, end->Eval(row));
     }
-    if (pending_start_.is_null()) {  // a NULL interval contains nothing
-      have_pending_ = false;
-      continue;
-    }
-    int c = pending_start_.Compare(start);
-    if (!(lower_strict_ ? c < 0 : c <= 0)) return Status::OK();
-    StackEntry e;
-    OXML_ASSIGN_OR_RETURN(e.end, anc_end_->Eval(pending_anc_));
-    e.start = std::move(pending_start_);
-    e.row = std::move(pending_anc_);
-    stack_.push_back(std::move(e));
-    have_pending_ = false;
+    OXML_RETURN_NOT_OK(budget->AddRow(row));
+    e.row = std::move(row);
+    out->push_back(std::move(e));
   }
-  return Status::OK();
 }
 
-Result<bool> StructuralJoinOp::Next(Row* row) {
-  while (true) {
-    if (!have_desc_) {
-      OXML_ASSIGN_OR_RETURN(bool has, desc_->Next(&desc_row_));
-      if (!has) return false;
-      OXML_ASSIGN_OR_RETURN(desc_start_value_, desc_start_->Eval(desc_row_));
-      if (desc_start_value_.is_null()) continue;  // never contained
-      OXML_RETURN_NOT_OK(AdvanceAncestors(desc_start_value_));
-      // Retire ancestors whose interval ended before this start: later
-      // descendants only have larger starts, so the entries can never
-      // match again. Popping from the top is exact for properly nested
-      // intervals; for overlapping inputs the per-emit Contains() check
-      // below keeps the join correct regardless.
-      while (!stack_.empty()) {
-        const StackEntry& top = stack_.back();
-        bool expired =
-            top.end.is_null() ||
-            (upper_inclusive_
-                 ? top.end.Compare(desc_start_value_) < 0
-                 : top.end.Compare(desc_start_value_) <= 0);
-        if (!expired) break;
-        stack_.pop_back();
-      }
-      have_desc_ = true;
-      emit_pos_ = 0;
+std::vector<StructuralJoinOp::Group> StructuralJoinOp::Partition(
+    const std::vector<Entry>& ancs, const std::vector<Entry>& descs,
+    size_t target) {
+  // Cut before ancestor i when its start is past the maximum end seen so
+  // far: no containment pair spans such a cut. (Earlier groups all ended
+  // before the current one began, so the current group's max end is the
+  // running one; a NULL end extends nothing.) A group is only closed once
+  // it holds its share of the ancestors, so there are at most `target`.
+  const size_t share = (ancs.size() + target - 1) / target;
+  std::vector<Group> groups(1);
+  for (size_t i = 0; i < ancs.size(); ++i) {
+    Group* g = &groups.back();
+    if (i - g->anc_begin >= share &&
+        (g->max_end == nullptr || ancs[i].start.Compare(*g->max_end) > 0)) {
+      g->anc_end = i;
+      groups.emplace_back().anc_begin = i;
+      g = &groups.back();
     }
-    while (emit_pos_ < stack_.size()) {
-      const StackEntry& e = stack_[emit_pos_++];
-      if (!Contains(e, desc_start_value_)) continue;
-      row->clear();
-      row->reserve(e.row.size() + desc_row_.size());
-      row->insert(row->end(), e.row.begin(), e.row.end());
-      row->insert(row->end(), desc_row_.begin(), desc_row_.end());
-      return true;
+    if (!ancs[i].end.is_null() &&
+        (g->max_end == nullptr || ancs[i].end.Compare(*g->max_end) > 0)) {
+      g->max_end = &ancs[i].end;
     }
-    have_desc_ = false;
   }
+  groups.back().anc_end = ancs.size();
+
+  // Each descendant goes to the first group whose max end it has not
+  // passed — the only group that can contain it (groups are disjoint and
+  // in start order, descendants arrive sorted on start). Descendants past
+  // the last group match nothing and are dropped.
+  size_t p = 0;
+  for (size_t d = 0; d < descs.size() && p < groups.size(); ++d) {
+    while (p < groups.size() &&
+           (groups[p].max_end == nullptr ||
+            groups[p].max_end->Compare(descs[d].start) < 0)) {
+      if (++p < groups.size()) groups[p].desc_begin = groups[p].desc_end = d;
+    }
+    if (p < groups.size()) groups[p].desc_end = d + 1;
+  }
+  return groups;
+}
+
+Status StructuralJoinOp::JoinGroup(const Group& g,
+                                   std::vector<Match>* out) const {
+  // Push ancestors whose start precedes the descendant's, pop intervals
+  // that ended before it (later descendants only have larger starts), and
+  // emit the surviving entries bottom-to-top. Popping from the top is
+  // exact for properly nested intervals; the emit-time Contains() re-check
+  // keeps overlapping inputs correct.
+  BudgetCharger budget;
+  size_t next = g.anc_begin;
+  std::vector<size_t> stack;
+  for (size_t d = g.desc_begin; d < g.desc_end; ++d) {
+    OXML_RETURN_NOT_OK(CheckCurrentControl());
+    const Value& start = descs_[d].start;
+    while (next < g.anc_end) {
+      int c = ancs_[next].start.Compare(start);
+      if (!(lower_strict_ ? c < 0 : c <= 0)) break;
+      stack.push_back(next++);
+    }
+    while (!stack.empty()) {
+      const Value& end = ancs_[stack.back()].end;
+      bool expired = end.is_null() || (upper_inclusive_
+                                           ? end.Compare(start) < 0
+                                           : end.Compare(start) <= 0);
+      if (!expired) break;
+      stack.pop_back();
+    }
+    for (size_t a : stack) {
+      if (!Contains(ancs_[a], start)) continue;
+      OXML_RETURN_NOT_OK(budget.Add(sizeof(Match)));
+      out->push_back({a, d});
+    }
+  }
+  return Status::OK();
 }
 
 Status StructuralJoinOp::Open() {
-  if (stats_ != nullptr) ++stats_->joins_structural;
-  OXML_RETURN_NOT_OK(anc_->Open());
-  OXML_RETURN_NOT_OK(desc_->Open());
-  stack_.clear();
-  have_pending_ = false;
-  anc_done_ = false;
-  have_desc_ = false;
-  emit_pos_ = 0;
-  return Status::OK();
+  if (stats_ != nullptr) {
+    ++stats_->joins_structural;
+    if (pool_ != nullptr) ++stats_->parallel_joins;
+  }
+  ancs_.clear();
+  descs_.clear();
+  out_.clear();
+  part_ = 0;
+  pos_ = 0;
+
+  BudgetCharger budget;
+  OXML_RETURN_NOT_OK(Drain(anc_.get(), *anc_start_, anc_end_.get(), &budget,
+                           &ancs_));
+  OXML_RETURN_NOT_OK(Drain(desc_.get(), *desc_start_, nullptr, &budget,
+                           &descs_));
+
+  std::vector<Group> groups = Partition(ancs_, descs_, TargetShards(pool_));
+  out_.resize(groups.size());
+  auto join = [&](size_t i) { return JoinGroup(groups[i], &out_[i]); };
+  if (pool_ == nullptr) {
+    for (size_t i = 0; i < groups.size(); ++i) OXML_RETURN_NOT_OK(join(i));
+    return Status::OK();
+  }
+  if (stats_ != nullptr) {
+    stats_->morsels += groups.size();
+    stats_->threads_used.UpdateMax(std::min(pool_->size() + 1, groups.size()));
+  }
+  return pool_->ParallelFor(groups.size(), join);
+}
+
+Result<bool> StructuralJoinOp::Next(Row* row) {
+  while (part_ < out_.size()) {
+    if (pos_ < out_[part_].size()) {
+      const Match& m = out_[part_][pos_++];
+      const Row& anc = ancs_[m.anc].row;
+      const Row& desc = descs_[m.desc].row;
+      row->clear();
+      row->reserve(anc.size() + desc.size());
+      row->insert(row->end(), anc.begin(), anc.end());
+      row->insert(row->end(), desc.begin(), desc.end());
+      return true;
+    }
+    ++part_;
+    pos_ = 0;
+  }
+  return false;
 }
 
 void StructuralJoinOp::Close() {
   anc_->Close();
   desc_->Close();
-  stack_.clear();
+  ancs_ = {};
+  descs_ = {};
+  out_ = {};
 }
 
 std::string StructuralJoinOp::Name() const {
-  return "StructuralJoin(" + desc_start_->ToString() +
+  return std::string(pool_ != nullptr ? "Parallel" : "") + "StructuralJoin(" +
+         desc_start_->ToString() +
          (lower_strict_ ? " > " : " >= ") + anc_start_->ToString() + " AND " +
          desc_start_->ToString() + (upper_inclusive_ ? " <= " : " < ") +
          anc_end_->ToString() + ")";

@@ -14,6 +14,9 @@
 
 namespace oxml {
 
+class BudgetCharger;
+class ThreadPool;
+
 /// One component of an operator's output sort order: rows are non-decreasing
 /// (non-increasing when `desc`) on this output column, with ties ordered by
 /// the next key in the list.
@@ -293,35 +296,40 @@ class MergeJoinOp : public Operator {
 };
 
 /// Stack-based structural (interval containment) join, after the Stack-Tree
-/// family of algorithms: consumes an ancestor input sorted on its interval
-/// start and a descendant input sorted on its start, and emits every
+/// family of algorithms: joins an ancestor input sorted on its interval
+/// start with a descendant input sorted on its start and emits every
 /// (ancestor, descendant) pair with
 ///     d.start >OP a.start  AND  d.start <OP a.end
-/// in one pass over both inputs. OP strictness is configurable to cover
-/// both the Global-encoding pattern (`d.ord > a.ord AND d.ord <= a.eord`)
-/// and the Dewey prefix-range pattern (`d.path > a.path AND
-/// d.path < SUCC(a.path)`).
+/// OP strictness is configurable to cover both the Global-encoding pattern
+/// (`d.ord > a.ord AND d.ord <= a.eord`) and the Dewey prefix-range pattern
+/// (`d.path > a.path AND d.path < SUCC(a.path)`).
 ///
-/// Algorithm: descendants are consumed in start order; every ancestor whose
-/// start precedes the current descendant's start is pushed onto a stack
-/// (with its end precomputed), ancestors whose interval provably ended
-/// before the current start are popped, and the surviving stack entries are
-/// emitted bottom-to-top — ancestor-start order — for this descendant.
-/// Each emission re-checks containment, so the operator stays *correct*
-/// (merely slower) on arbitrary overlapping intervals; on properly nested
-/// XML region intervals the stack never holds a non-matching entry and the
-/// check never fails. NULL starts/ends never match. Output order: sorted on
-/// the descendant start column (pairs for one descendant are contiguous).
+/// Open() drains both inputs, evaluating start and end once per row (rows
+/// with a NULL start never match and are dropped). It cuts the ancestor
+/// stream wherever a start exceeds the running maximum end — no pair spans
+/// such a cut, so the groups are independent — and assigns each descendant
+/// to the only group that can contain it. Each group runs the stack join:
+/// ancestors whose start precedes the descendant's are pushed, intervals
+/// that provably ended are popped, and the surviving entries are emitted
+/// bottom-to-top with a containment re-check, so arbitrary overlapping
+/// intervals stay correct. With a null pool the join runs inline on the
+/// calling thread as one group; with a pool the groups fan out through
+/// ThreadPool::ParallelFor. Either way the inputs and the matched pairs are
+/// materialized and charged to the statement's memory budget, and the
+/// statement's QueryControl is polled per descendant; Next() builds each
+/// joined row from a pair. Output order: sorted on the descendant start
+/// column, the ancestors of one descendant in start order.
 class StructuralJoinOp : public Operator {
  public:
   /// `anc_start` and `desc_start` are columns bound to the ancestor /
   /// descendant input schemas; `anc_end` is an expression over the ancestor
   /// schema (a column, or SUCC(path) for Dewey). `lower_strict` selects
   /// `>` vs `>=` for the start comparison, `upper_inclusive` selects `<=`
-  /// vs `<` for the end comparison.
+  /// vs `<` for the end comparison. `pool` may be null (inline execution).
   StructuralJoinOp(OperatorPtr ancestors, OperatorPtr descendants,
                    ExprPtr anc_start, ExprPtr anc_end, ExprPtr desc_start,
-                   bool lower_strict, bool upper_inclusive, ExecStats* stats);
+                   bool lower_strict, bool upper_inclusive, ThreadPool* pool,
+                   ExecStats* stats);
   Status Open() override;
   Result<bool> Next(Row* row) override;
   void Close() override;
@@ -329,17 +337,34 @@ class StructuralJoinOp : public Operator {
   void Describe(int indent, std::string* out) const override;
 
  private:
-  struct StackEntry {
+  struct Entry {
     Row row;
     Value start;
-    Value end;
+    Value end;  // only meaningful for ancestors
+  };
+  /// One independent interval group: ancestors [anc_begin, anc_end) and
+  /// the descendants [desc_begin, desc_end) that only they can contain.
+  struct Group {
+    size_t anc_begin = 0, anc_end = 0;
+    const Value* max_end = nullptr;
+    size_t desc_begin = 0, desc_end = 0;
+  };
+  /// One output pair, as positions in ancs_ and descs_.
+  struct Match {
+    size_t anc, desc;
   };
 
-  /// True when `start` falls inside (start, end] / [start, end) / ... of
-  /// `e` per the configured strictness.
-  bool Contains(const StackEntry& e, const Value& start) const;
-  /// Pulls ancestor rows onto the stack while their start precedes `start`.
-  Status AdvanceAncestors(const Value& start);
+  bool Contains(const Entry& e, const Value& start) const;
+  /// Drains `input`, evaluating `start` (and `end`, when non-null) per row.
+  static Status Drain(Operator* input, const Expr& start, const Expr* end,
+                      BudgetCharger* budget, std::vector<Entry>* out);
+  /// Cuts `ancs` into at most `target` independent groups and assigns
+  /// each descendant of `descs` to the group that can contain it.
+  static std::vector<Group> Partition(const std::vector<Entry>& ancs,
+                                      const std::vector<Entry>& descs,
+                                      size_t target);
+  /// The stack join over one group, appending its pairs to `out`.
+  Status JoinGroup(const Group& g, std::vector<Match>* out) const;
 
   OperatorPtr anc_;
   OperatorPtr desc_;
@@ -348,16 +373,13 @@ class StructuralJoinOp : public Operator {
   ExprPtr desc_start_;
   bool lower_strict_;
   bool upper_inclusive_;
+  ThreadPool* pool_;
   ExecStats* stats_;
-  std::vector<StackEntry> stack_;
-  Row pending_anc_;        // next ancestor row not yet pushed
-  Value pending_start_;    // its start value
-  bool have_pending_ = false;
-  bool anc_done_ = false;
-  Row desc_row_;
-  Value desc_start_value_;
-  bool have_desc_ = false;
-  size_t emit_pos_ = 0;    // next stack entry to test for the current desc
+  std::vector<Entry> ancs_;   // drained inputs, in start order
+  std::vector<Entry> descs_;
+  std::vector<std::vector<Match>> out_;  // one pair list per group
+  size_t part_ = 0;
+  size_t pos_ = 0;
 };
 
 /// Index nested-loop join: for each outer row, evaluates `outer_keys`

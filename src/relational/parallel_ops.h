@@ -57,58 +57,6 @@ class ParallelScanOp : public Operator {
   size_t pos_ = 0;
 };
 
-/// Parallel stack-based structural join. Open() drains both (start-sorted)
-/// inputs, cuts the ancestor stream wherever an interval start exceeds the
-/// running maximum end — intervals never span such a cut, so the groups
-/// are independent — assigns each descendant to the only group that can
-/// contain it, and runs the serial stack algorithm per group on the thread
-/// pool. Concatenating the group outputs in order reproduces the serial
-/// StructuralJoinOp's output exactly (sorted on descendant start, the
-/// ancestors of one descendant in start order).
-class ParallelStructuralJoinOp : public Operator {
- public:
-  /// Same contract as StructuralJoinOp (see executor.h) plus the pool.
-  ParallelStructuralJoinOp(OperatorPtr ancestors, OperatorPtr descendants,
-                           ExprPtr anc_start, ExprPtr anc_end,
-                           ExprPtr desc_start, bool lower_strict,
-                           bool upper_inclusive, ThreadPool* pool,
-                           ExecStats* stats);
-
-  Status Open() override;
-  Result<bool> Next(Row* row) override;
-  void Close() override;
-  std::string Name() const override;
-  void Describe(int indent, std::string* out) const override;
-
- private:
-  struct Entry {
-    Row row;
-    Value start;
-    Value end;  // only meaningful for ancestors
-  };
-
-  bool Contains(const Entry& e, const Value& start) const;
-  /// Serial stack join over one independent group. Polls the statement's
-  /// QueryControl per descendant and charges emitted rows to its budget.
-  Status JoinPartition(const std::vector<Entry>& ancs, size_t anc_begin,
-                       size_t anc_end, const std::vector<Entry>& descs,
-                       size_t desc_begin, size_t desc_end,
-                       std::vector<Row>* out) const;
-
-  OperatorPtr anc_;
-  OperatorPtr desc_;
-  ExprPtr anc_start_;
-  ExprPtr anc_end_;
-  ExprPtr desc_start_;
-  bool lower_strict_;
-  bool upper_inclusive_;
-  ThreadPool* pool_;
-  ExecStats* stats_;
-  std::vector<std::vector<Row>> out_;
-  size_t part_ = 0;
-  size_t pos_ = 0;
-};
-
 }  // namespace oxml
 
 #endif  // OXML_RELATIONAL_PARALLEL_OPS_H_

@@ -48,6 +48,7 @@ struct Sarg {
   Value value;           // coerced literal value (literal sargs only)
   const Expr* value_expr = nullptr;  // the value side, borrowed
   bool is_param = false;
+  bool coerced = false;  // the literal was converted to its column's type
   size_t conjunct_index = 0;
 };
 
@@ -107,7 +108,17 @@ std::vector<Sarg> ExtractSargs(const Schema& schema,
     } else {
       s.value = static_cast<const LiteralExpr*>(s.value_expr)->value();
       if (s.value.is_null()) continue;  // col <op> NULL never matches
+      TypeId written = s.value.type();
       if (!CoerceForColumn(schema.column(s.column).type, &s.value)) continue;
+      s.coerced = s.value.type() != written;
+      // TEXT and BLOB compare by type rank, not bytes, so a range against
+      // a value of the other kind selects all rows or none: its coerced
+      // key would narrow the scan wrongly. (Equality selects none, which
+      // any range plus the residual filter reproduces.)
+      if (s.coerced && s.op != BinaryOp::kEq &&
+          s.value.type() != TypeId::kDouble) {
+        continue;
+      }
     }
     s.conjunct_index = i;
     sargs.push_back(std::move(s));
@@ -188,7 +199,10 @@ AccessPath ChooseAccessPath(const TableInfo& table,
     path.index = index.get();
     path.consumed.assign(conjuncts.size(), false);
     path.eq_prefix = eq_sargs.size();
-    path.bound_conjuncts = bound.size();
+    // A coerced literal still narrows the range, but only the residual
+    // filter gives its exact answer (see ResolvedIndexBounds::coerced).
+    path.bound_conjuncts = std::count_if(
+        bound.begin(), bound.end(), [](const Sarg* s) { return !s->coerced; });
 
     if (any_param) {
       // Defer bound encoding to execution time; leave `consumed` all-false
@@ -213,7 +227,9 @@ AccessPath ChooseAccessPath(const TableInfo& table,
       // All-literal bounds: encode eagerly.
       std::vector<Value> eq_prefix;
       for (const Sarg* s : eq_sargs) eq_prefix.push_back(s->value);
-      for (const Sarg* s : bound) path.consumed[s->conjunct_index] = true;
+      for (const Sarg* s : bound) {
+        if (!s->coerced) path.consumed[s->conjunct_index] = true;
+      }
       ResolvedIndexBounds range = EncodeIndexRange(
           eq_prefix, range_lower != nullptr ? &range_lower->value : nullptr,
           range_lower != nullptr && range_lower->op == BinaryOp::kGe,
@@ -591,18 +607,13 @@ Result<OperatorPtr> PlanSelect(Database* db, SelectStmt* stmt) {
       inner = EnsureSortedOn(std::move(inner), desc_col->name(),
                              desc_col->index(), db->stats());
 
-      if (db->options().enable_parallel_execution &&
-          db->thread_pool() != nullptr) {
-        plan = std::make_unique<ParallelStructuralJoinOp>(
-            std::move(plan), std::move(inner), std::move(anc_start),
-            std::move(anc_end), std::move(desc_start), ij.lower_strict,
-            ij.upper_inclusive, db->thread_pool(), db->stats());
-      } else {
-        plan = std::make_unique<StructuralJoinOp>(
-            std::move(plan), std::move(inner), std::move(anc_start),
-            std::move(anc_end), std::move(desc_start), ij.lower_strict,
-            ij.upper_inclusive, db->stats());
-      }
+      ThreadPool* pool = db->options().enable_parallel_execution
+                             ? db->thread_pool()
+                             : nullptr;
+      plan = std::make_unique<StructuralJoinOp>(
+          std::move(plan), std::move(inner), std::move(anc_start),
+          std::move(anc_end), std::move(desc_start), ij.lower_strict,
+          ij.upper_inclusive, pool, db->stats());
       combined.Append(qualified[i]);
 
       // Leftover conjuncts (e.g. the Dewey child-axis depth check) attach

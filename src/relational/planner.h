@@ -45,7 +45,9 @@ struct AccessPath {
   /// How many candidate conjuncts the bounds encode, static or dynamic.
   /// When it equals the candidate count, the index range holds exactly the
   /// rows the conjunction selects (for dynamic bounds: while every binding
-  /// has its column's type, see ResolvedIndexBounds::coerced).
+  /// has its column's type, see ResolvedIndexBounds::coerced). A literal
+  /// coerced to its column's type may narrow the range but is neither
+  /// counted here nor consumed: the residual filter decides it.
   size_t bound_conjuncts = 0;
 };
 

@@ -115,4 +115,8 @@ Status ThreadPool::ParallelFor(size_t shards,
   return state->first_error;
 }
 
+size_t TargetShards(const ThreadPool* pool) {
+  return pool == nullptr ? 1 : (pool->size() + 1) * 2;
+}
+
 }  // namespace oxml

@@ -64,6 +64,12 @@ class ThreadPool {
   bool shutdown_ = false;
 };
 
+/// How many morsels to cut a scan or join into: a small multiple of the
+/// worker count (pool workers + the calling thread) so stragglers can be
+/// absorbed, without drowning small inputs in bookkeeping. A null pool
+/// (inline execution) gets one.
+size_t TargetShards(const ThreadPool* pool);
+
 }  // namespace oxml
 
 #endif  // OXML_RELATIONAL_THREAD_POOL_H_

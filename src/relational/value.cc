@@ -159,4 +159,32 @@ size_t HashRow(const Row& row) {
   return h;
 }
 
+Result<Value> CoerceTo(const Value& v, TypeId type) {
+  if (v.is_null()) return v;
+  if (v.type() == type) return v;
+  switch (type) {
+    case TypeId::kDouble:
+      if (v.type() == TypeId::kInt) return Value::Double(v.AsDouble());
+      break;
+    case TypeId::kInt:
+      // Truncates; a NaN or a value outside int64's range has no INT.
+      if (v.type() == TypeId::kDouble && std::isfinite(v.AsDouble()) &&
+          std::fabs(v.AsDouble()) < std::ldexp(1.0, 63)) {
+        return Value::Int(static_cast<int64_t>(v.AsDouble()));
+      }
+      break;
+    case TypeId::kText:
+      if (v.type() == TypeId::kBlob) return Value::Text(v.AsString());
+      break;
+    case TypeId::kBlob:
+      if (v.type() == TypeId::kText) return Value::Blob(v.AsString());
+      break;
+    default:
+      break;
+  }
+  return Status::InvalidArgument(std::string("cannot coerce ") +
+                                 TypeIdToString(v.type()) + " to " +
+                                 TypeIdToString(type));
+}
+
 }  // namespace oxml

@@ -95,6 +95,11 @@ using Row = std::vector<Value>;
 /// Hash of a full row (order-sensitive).
 size_t HashRow(const Row& row);
 
+/// Coerces `v` to a column of `type` as SQL INSERT and UPDATE store it:
+/// INT -> DOUBLE promotion, DOUBLE -> INT truncation and TEXT/BLOB
+/// interchange; NULL passes unchanged. InvalidArgument for other kinds.
+Result<Value> CoerceTo(const Value& v, TypeId type);
+
 }  // namespace oxml
 
 #endif  // OXML_RELATIONAL_VALUE_H_

@@ -1,8 +1,8 @@
 // Multi-threaded execution: thread-pool and statement-latch units,
 // concurrent-reader stress on every encoding, the writers-exclude-readers
 // invariant, and a parallel-vs-serial differential over the QR workload
-// (plans with ParallelScanOp / ParallelStructuralJoinOp must give
-// byte-identical ordered results to the serial operators they replace).
+// (plans with ParallelScanOp / StructuralJoinOp on the pool must give
+// byte-identical ordered results to the serial plans).
 //
 // Built with -DOXML_TSAN=ON in CI, these tests double as the
 // ThreadSanitizer workload for the latched buffer pool and plan cache.

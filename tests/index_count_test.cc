@@ -310,6 +310,105 @@ TEST_F(IndexCountSqlTest, OtherTypedBindingsGiveTheRowPathAnswer) {
   }
 }
 
+TEST_F(IndexCountSqlTest, CoercedLiteralsAgreeWithAnUnindexedCopy) {
+  // `eu` holds e's rows without any index.
+  ASSERT_TRUE(db_->Execute("CREATE TABLE eu (k INT, v INT, d DOUBLE, "
+                           "s TEXT)")
+                  .ok());
+  auto rows = db_->Query("SELECT * FROM e");
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  for (const Row& row : rows->rows) {
+    ASSERT_TRUE(db_->ExecuteP("INSERT INTO eu VALUES (?, ?, ?, ?)", row).ok());
+  }
+  // x'70617261' is BLOB 'para' and x'7469746c65' BLOB 'title': a BLOB
+  // never equals a TEXT and sorts after every TEXT, so coercing it into
+  // an index key of the TEXT column s must not decide the answer. An INT
+  // literal on the DOUBLE column d is coerced exactly.
+  for (const char* where : {
+           "s = x'70617261'",
+           "s < x'70617261'",
+           "s >= x'7469746c65'",
+           "s > x'70617261' AND s <= x'7469746c65'",
+           "d = 1",
+           "d < 1",
+           "d >= 1 AND d < 2",
+           "k = 3 AND v >= 3",
+       }) {
+    std::string tail = std::string(" WHERE ") + where;
+    int64_t expected = CountOf(db_.get(), "SELECT COUNT(*) FROM eu" + tail);
+    EXPECT_EQ(CountOf(db_.get(), "SELECT COUNT(*) FROM e" + tail), expected)
+        << where;
+    EXPECT_EQ(RowCount(db_.get(), "SELECT * FROM e" + tail), expected)
+        << where;
+  }
+  // The same range shapes with a BLOB binding.
+  for (const char* where : {"s < ?", "s >= ?"}) {
+    const Row blob = {Value::Blob("para")};
+    std::string tail = std::string(" WHERE ") + where;
+    int64_t expected =
+        CountOf(db_.get(), "SELECT COUNT(*) FROM eu" + tail, blob);
+    EXPECT_EQ(CountOf(db_.get(), "SELECT COUNT(*) FROM e" + tail, blob),
+              expected)
+        << where;
+    EXPECT_EQ(RowCount(db_.get(), "SELECT * FROM e" + tail, blob), expected)
+        << where;
+  }
+}
+
+// Database::Insert stores values as SQL INSERT does: an INT in a DOUBLE
+// column is stored as a DOUBLE, so its index key sorts among the DOUBLE
+// keys. An incompatible kind is rejected and nothing is written.
+TEST(InsertCoercionTest, ProgrammaticInsertCoercesLikeSql) {
+  auto db = OpenDb();
+  ASSERT_NE(db, nullptr);
+  for (const char* t : {"ti", "tu"}) {
+    ASSERT_TRUE(
+        db->Execute(std::string("CREATE TABLE ") + t + " (d DOUBLE, s TEXT)")
+            .ok());
+    ASSERT_TRUE(db->Insert(t, {Value::Int(2), Value::Blob("para")}).ok());
+  }
+  ASSERT_TRUE(db->Execute("CREATE INDEX ti_d ON ti (d)").ok());
+  ASSERT_TRUE(db->Execute("CREATE INDEX ti_s ON ti (s)").ok());
+  ASSERT_TRUE(db->Insert("ti", {Value::Int(3), Value::Blob("para")}).ok());
+  ASSERT_TRUE(db->Insert("tu", {Value::Int(3), Value::Blob("para")}).ok());
+  for (const char* where : {"d >= 1.5", "d = 2", "d < 2.5", "s = 'para'"}) {
+    std::string tail = std::string(" WHERE ") + where;
+    int64_t expected = CountOf(db.get(), "SELECT COUNT(*) FROM tu" + tail);
+    EXPECT_EQ(CountOf(db.get(), "SELECT COUNT(*) FROM ti" + tail), expected)
+        << where;
+    EXPECT_EQ(RowCount(db.get(), "SELECT * FROM ti" + tail), expected)
+        << where;
+  }
+  EXPECT_EQ(CountOf(db.get(), "SELECT COUNT(*) FROM ti WHERE d >= 1.5"), 2);
+  auto stored = db->Query("SELECT d, s FROM ti");
+  ASSERT_TRUE(stored.ok()) << stored.status();
+  for (const Row& row : stored->rows) {
+    EXPECT_EQ(row[0].type(), TypeId::kDouble);
+    EXPECT_EQ(row[1].type(), TypeId::kText);
+  }
+
+  // A TEXT value for the DOUBLE column: rejected, auto-commit or not.
+  auto bad = db->Insert("ti", {Value::Text("x"), Value::Text("y")});
+  EXPECT_TRUE(bad.status().IsInvalidArgument()) << bad.status();
+  ASSERT_TRUE(db->Begin().ok());
+  bad = db->Insert("ti", {Value::Double(1.0), Value::Int(7)});
+  EXPECT_TRUE(bad.status().IsInvalidArgument()) << bad.status();
+  ASSERT_TRUE(db->Commit().ok());
+  EXPECT_EQ(RowCount(db.get(), "SELECT * FROM ti"), 2);
+  EXPECT_EQ(CountOf(db.get(), "SELECT COUNT(*) FROM ti WHERE d >= 0.0"), 2);
+
+  // A DOUBLE for an INT column truncates; one outside int64 has no INT.
+  ASSERT_TRUE(db->Execute("CREATE TABLE n (i INT)").ok());
+  ASSERT_TRUE(db->Insert("n", {Value::Double(2.7)}).ok());
+  bad = db->Insert("n", {Value::Double(1e30)});
+  EXPECT_TRUE(bad.status().IsInvalidArgument()) << bad.status();
+  auto sql_bad =
+      db->ExecuteP("INSERT INTO n VALUES (?)", {Value::Double(-1e30)});
+  EXPECT_TRUE(sql_bad.status().IsInvalidArgument()) << sql_bad.status();
+  EXPECT_EQ(CountOf(db.get(), "SELECT COUNT(*) FROM n WHERE i = 2"), 1);
+  EXPECT_EQ(RowCount(db.get(), "SELECT * FROM n"), 1);
+}
+
 TEST_F(IndexCountSqlTest, ExpiredDeadlineIsReported) {
   QueryControl ctl;
   ctl.SetDeadline(std::chrono::steady_clock::now() - std::chrono::seconds(1));
